@@ -46,10 +46,11 @@ use ssm_stats::Bucket;
 use crate::result::RunResult;
 
 /// Host-side engine knobs. None of them affect simulated results — they
-/// trade OS context switches and thread spawns for bookkeeping.
+/// trade baton handoffs and execution-context setup for bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Recycle OS threads from this set instead of spawning per run.
+    /// Recycle application-thread stacks (OS threads off x86_64 Linux)
+    /// from this set instead of creating them per run.
     pub workers: Option<WorkerSet>,
     /// Accumulate hint-predicted-local operations into one baton handoff
     /// per run (see [`ssm_proto::vm`] module docs). On by default.

@@ -163,8 +163,9 @@ impl SimBuilder {
     }
 
     /// Leases application threads from a shared [`ssm_engine::WorkerSet`]
-    /// so consecutive runs recycle parked OS threads instead of spawning
-    /// (host-side only; results are unaffected).
+    /// so consecutive runs recycle parked stacks (OS threads off x86_64
+    /// Linux) instead of creating them (host-side only; results are
+    /// unaffected).
     pub fn workers(mut self, workers: ssm_engine::WorkerSet) -> Self {
         self.workers = Some(workers);
         self

@@ -26,10 +26,13 @@ pub struct RunResult {
     /// Protocol event trace (empty unless tracing was enabled on the
     /// builder).
     pub trace: Vec<ssm_proto::TraceEvent>,
-    /// OS threads freshly spawned for this run (host-side; zero when the
-    /// run recycled every thread from a shared [`ssm_engine::WorkerSet`]).
+    /// Execution contexts freshly created for this run's application
+    /// threads: a fresh stack mapping on x86_64 Linux, a fresh OS thread
+    /// elsewhere (host-side; zero when the run recycled every one from a
+    /// shared [`ssm_engine::WorkerSet`]).
     pub threads_spawned: u64,
-    /// OS threads recycled from a shared worker set for this run.
+    /// Execution contexts (stacks, or OS threads off x86_64 Linux)
+    /// recycled from a shared worker set for this run.
     pub threads_reused: u64,
 }
 

@@ -16,10 +16,12 @@
 //! * [`Resource`] and [`Pipe`] — occupancy- and bandwidth-contended shared
 //!   resources (a CPU, an NI processor, an I/O bus, a memory bus),
 //! * [`ThreadPool`] — execution-driven application threads: each simulated
-//!   processor's program runs on a real OS thread, but a strict baton
-//!   guarantees that **at most one application thread executes at any
-//!   instant**, which makes the whole simulation deterministic and makes a
-//!   single shared data store safe to access without per-access locking.
+//!   processor's program runs on its own stack — a coroutine on the
+//!   simulator's OS thread on x86_64 Linux, a pooled OS thread elsewhere
+//!   (see [`threads`]) — and a strict baton guarantees that **at most one
+//!   application thread executes at any instant**, which makes the whole
+//!   simulation deterministic and makes a single shared data store safe to
+//!   access without per-access locking.
 //!
 //! # Example
 //!
@@ -43,6 +45,8 @@
 //! assert_eq!(contended, 160);
 //! ```
 
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod fiber;
 pub mod queue;
 pub mod resource;
 pub mod threads;

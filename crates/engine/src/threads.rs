@@ -2,16 +2,17 @@
 //!
 //! The paper uses augmint to run real application code and intercept its
 //! memory references. We achieve the same effect with a *baton* scheme:
-//! every simulated processor's program runs on a real OS thread, but a
-//! strict handover protocol guarantees that at most one of these threads —
-//! or the simulator itself — executes at any instant:
+//! every simulated processor's program runs as its own thread of control
+//! with its own stack, but a strict handover protocol guarantees that at
+//! most one of these threads — or the simulator itself — executes at any
+//! instant:
 //!
 //! 1. the simulator calls [`ThreadPool::resume`] for the thread it wants to
-//!    advance and then blocks;
+//!    advance;
 //! 2. the application thread runs until it performs a simulated operation
 //!    (a shared read/write, a lock, a barrier, a block of computation),
 //!    which calls [`Yielder::yield_op`]; that hands the operation — and the
-//!    baton — back to the simulator and blocks;
+//!    baton — back to the simulator and parks the thread;
 //! 3. the simulator models the operation in simulated time and later resumes
 //!    the thread again.
 //!
@@ -23,28 +24,42 @@
 //!   synchronization, because real-time concurrency never happens (the
 //!   `ssm-proto` crate relies on this for its shared-memory store).
 //!
-//! Each handoff costs two OS context switches, which dominates host time
-//! for fine-grained programs. Two mitigations live here:
+//! # Backends
 //!
-//! * **batched handoffs** — [`Yielder::yield_batch`] hands a whole *run* of
-//!   operations to the simulator in one baton exchange ([`Resumed::Batch`]);
-//!   the caller decides which operations may legally be grouped (see
-//!   `ssm-proto`'s batching `Proc` and `ssm-core`'s driver, which replays a
-//!   batch one operation per scheduling step, preserving exact simulated
-//!   order);
-//! * **worker recycling** — threads are leased from a [`WorkerSet`]
-//!   (`ThreadPool::with_workers`), so consecutive simulations reuse parked
-//!   OS threads instead of spawning fresh ones.
+//! Two implementations of the same surface ([`ThreadPool`], [`Yielder`],
+//! [`Resumed`], [`ThreadId`]) produce identical [`Resumed`] sequences:
+//!
+//! * [`coro`] (x86_64 Linux, the default there) — every thread is a
+//!   stackful coroutine on the resuming OS thread. A handoff is a register
+//!   swap; no simulated processor owns an OS thread.
+//! * [`os`] (every target; the default elsewhere) — every thread is a
+//!   pooled OS thread and the baton is a pair of channels, so a handoff
+//!   costs two OS context switches. It is also the reference the
+//!   coroutine backend is tested against.
+//!
+//! Both lease their execution contexts (stacks or OS threads) from a
+//! [`WorkerSet`](crate::WorkerSet), so consecutive simulations reuse them,
+//! and both accept **batched handoffs**: [`Yielder::yield_batch`] hands a
+//! whole *run* of operations to the simulator in one exchange
+//! ([`Resumed::Batch`]); the caller decides which operations may legally
+//! be grouped (see `ssm-proto`'s batching `Proc` and `ssm-core`'s driver,
+//! which replays a batch one operation per scheduling step, preserving
+//! exact simulated order).
 //!
 //! Threads that return normally report [`Resumed::Finished`]; a panic inside
 //! application code is captured and re-thrown in the simulator with the
-//! thread's message, so test failures surface in the right place.
+//! thread's message, so test failures surface in the right place. Dropping
+//! a pool cancels its parked threads: each unwinds from its pending yield,
+//! running its destructors.
 
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+pub mod coro;
+pub mod os;
 
-use crate::workers::{Completion, WorkerSet};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+pub use coro::{ThreadPool, Yielder};
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+pub use os::{ThreadPool, Yielder};
 
 /// Identifies a thread within its [`ThreadPool`] (dense, starting at 0).
 ///
@@ -57,17 +72,6 @@ impl std::fmt::Display for ThreadId {
         write!(f, "T{}", self.0)
     }
 }
-
-enum Req<R> {
-    Op(R),
-    Batch(Vec<R>, u32),
-    Finished,
-    Panicked(String),
-}
-
-/// Sentinel unwind payload used to silently cancel a parked thread when the
-/// pool is dropped early (e.g. a test aborts a simulation midway).
-struct Canceled;
 
 /// What a resumed thread did with its time slice.
 #[derive(Debug, PartialEq, Eq)]
@@ -82,457 +86,390 @@ pub enum Resumed<R> {
     Finished,
 }
 
-/// The application-side handle: lets application code hand operations to the
-/// simulator. One `Yielder` is passed to each spawned closure.
-pub struct Yielder<R> {
-    tid: ThreadId,
-    resume_rx: Receiver<()>,
-    req_tx: Sender<(ThreadId, Req<R>)>,
-}
-
-impl<R> Yielder<R> {
-    /// This thread's id (equals its simulated processor number).
-    pub fn tid(&self) -> ThreadId {
-        self.tid
-    }
-
-    /// Hands `op` (and the baton) to the simulator; returns when the
-    /// simulator resumes this thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a silent cancellation payload) if the pool was dropped;
-    /// the unwind is caught by the pool's thread wrapper.
-    pub fn yield_op(&self, op: R) {
-        self.hand_over(Req::Op(op));
-    }
-
-    /// Hands a whole batch of operations (and the baton) to the simulator
-    /// in **one** exchange; returns when the simulator, having processed
-    /// every operation of the batch, resumes this thread. `tag` travels
-    /// with the batch untouched (see [`Resumed::Batch`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`Yielder::yield_op`].
-    pub fn yield_batch(&self, ops: Vec<R>, tag: u32) {
-        self.hand_over(Req::Batch(ops, tag));
-    }
-
-    fn hand_over(&self, req: Req<R>) {
-        if self.req_tx.send((self.tid, req)).is_err() {
-            panic::panic_any(Canceled);
-        }
-        if self.resume_rx.recv().is_err() {
-            panic::panic_any(Canceled);
-        }
-    }
-}
-
-struct Slot {
-    resume_tx: Sender<()>,
-    finished: bool,
-}
-
-/// Tracks how many of this pool's jobs are still running on workers, so
-/// `Drop` can quiesce before the pool's state goes away.
-struct PendingJobs {
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl PendingJobs {
-    fn new() -> Arc<Self> {
-        Arc::new(PendingJobs {
-            count: Mutex::new(0),
-            zero: Condvar::new(),
-        })
-    }
-
-    fn inc(&self) {
-        *self.count.lock().expect("pending jobs") += 1;
-    }
-
-    fn dec(&self) {
-        let mut n = self.count.lock().expect("pending jobs");
-        *n -= 1;
-        if *n == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait_zero(&self) {
-        let mut n = self.count.lock().expect("pending jobs");
-        while *n > 0 {
-            n = self.zero.wait(n).expect("pending jobs");
-        }
-    }
-}
-
-/// Owns the application threads and the baton.
-///
-/// # Example
-///
-/// ```rust
-/// use ssm_engine::{ThreadPool, Resumed};
-///
-/// let mut pool: ThreadPool<u32> = ThreadPool::new();
-/// let a = pool.spawn(|y| {
-///     y.yield_op(1);
-///     y.yield_batch(vec![2, 3], 7);
-/// });
-/// assert_eq!(pool.resume(a), Resumed::Op(1));
-/// assert_eq!(pool.resume(a), Resumed::Batch(vec![2, 3], 7));
-/// assert_eq!(pool.resume(a), Resumed::Finished);
-/// ```
-pub struct ThreadPool<R> {
-    slots: Vec<Slot>,
-    req_rx: Receiver<(ThreadId, Req<R>)>,
-    req_tx: Sender<(ThreadId, Req<R>)>,
-    workers: WorkerSet,
-    pending: Arc<PendingJobs>,
-    spawned: usize,
-    reused: usize,
-}
-
-impl<R: Send + 'static> ThreadPool<R> {
-    /// Creates an empty pool with a private [`WorkerSet`]. Application
-    /// threads get an 8 MiB stack (recursive applications such as
-    /// Barnes-Hut need more than the platform default for spawned
-    /// threads).
-    pub fn new() -> Self {
-        Self::with_workers(WorkerSet::new())
-    }
-
-    /// Creates an empty pool that leases its OS threads from `workers`, so
-    /// consecutive pools sharing one set recycle parked threads instead of
-    /// spawning.
-    pub fn with_workers(workers: WorkerSet) -> Self {
-        let (req_tx, req_rx) = channel();
-        ThreadPool {
-            slots: Vec::new(),
-            req_rx,
-            req_tx,
-            workers,
-            pending: PendingJobs::new(),
-            spawned: 0,
-            reused: 0,
-        }
-    }
-
-    /// Spawns `f` parked: it will not execute until first resumed.
-    pub fn spawn<F>(&mut self, f: F) -> ThreadId
-    where
-        F: FnOnce(&Yielder<R>) + Send + 'static,
-    {
-        let tid = ThreadId(self.slots.len());
-        let (resume_tx, resume_rx) = channel();
-        let yielder = Yielder {
-            tid,
-            resume_rx,
-            req_tx: self.req_tx.clone(),
-        };
-        let req_tx = self.req_tx.clone();
-        let pending = self.pending.clone();
-        pending.inc();
-        let job = Box::new(move || -> Completion {
-            // Park until the first resume; a closed channel means the pool
-            // is gone and the job just retires.
-            if yielder.resume_rx.recv().is_err() {
-                return Box::new(move || pending.dec());
-            }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&yielder)));
-            let msg = match result {
-                Ok(()) => Some(Req::Finished),
-                Err(payload) => {
-                    if payload.downcast_ref::<Canceled>().is_some() {
-                        None // silent cancellation; nobody is listening
-                    } else {
-                        let text = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                        Some(Req::Panicked(text))
-                    }
-                }
-            };
-            let tid = yielder.tid;
-            // The worker runs this *after* re-parking itself, so whoever
-            // receives the message can immediately reuse the worker.
-            Box::new(move || {
-                if let Some(msg) = msg {
-                    let _ = req_tx.send((tid, msg));
-                }
-                pending.dec();
-            })
-        });
-        if self.workers.submit(job) {
-            self.reused += 1;
-        } else {
-            self.spawned += 1;
-        }
-        self.slots.push(Slot {
-            resume_tx,
-            finished: false,
-        });
-        tid
-    }
-
-    /// Number of threads spawned so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no threads were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Whether `tid` has finished (its closure returned).
-    pub fn is_finished(&self, tid: ThreadId) -> bool {
-        self.slots[tid.0].finished
-    }
-
-    /// How many of this pool's threads required a fresh OS thread spawn,
-    /// and how many reused a parked worker from the pool's [`WorkerSet`].
-    pub fn thread_stats(&self) -> (usize, usize) {
-        (self.spawned, self.reused)
-    }
-
-    /// Hands the baton to thread `tid` and blocks until it yields an
-    /// operation (or a batch) or finishes.
-    ///
-    /// # Panics
-    ///
-    /// * if `tid` already finished,
-    /// * if the application thread panicked — the panic message is rethrown
-    ///   here, prefixed with the thread id.
-    pub fn resume(&mut self, tid: ThreadId) -> Resumed<R> {
-        let slot = &mut self.slots[tid.0];
-        assert!(!slot.finished, "resumed finished thread {tid}");
-        slot.resume_tx
-            .send(())
-            .expect("simulated thread disappeared without reporting");
-        let (from, req) = self
-            .req_rx
-            .recv()
-            .expect("simulated thread disappeared without reporting");
-        debug_assert_eq!(from, tid, "baton protocol violated: wrong thread ran");
-        match req {
-            Req::Op(op) => Resumed::Op(op),
-            Req::Batch(ops, tag) => Resumed::Batch(ops, tag),
-            Req::Finished => {
-                self.slots[tid.0].finished = true;
-                Resumed::Finished
-            }
-            Req::Panicked(msg) => panic!("simulated thread {tid} panicked: {msg}"),
-        }
-    }
-}
-
-impl<R: Send + 'static> Default for ThreadPool<R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<R> Drop for ThreadPool<R> {
-    fn drop(&mut self) {
-        // Wake every parked thread with a closed channel so it cancels
-        // itself, then wait for all of this pool's jobs to retire — after
-        // that, every leased worker is back on the set's idle list and no
-        // application code from this simulation is still running.
-        for slot in &mut self.slots {
-            // Dropping the sender closes the channel.
-            let (dead_tx, _) = channel();
-            slot.resume_tx = dead_tx;
-        }
-        self.pending.wait_zero();
-    }
-}
-
-impl<R> std::fmt::Debug for ThreadPool<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.slots.len())
-            .field(
-                "finished",
-                &self.slots.iter().filter(|s| s.finished).count(),
-            )
-            .field("spawned", &self.spawned)
-            .field("reused", &self.reused)
-            .finish()
-    }
+/// The message of a captured application panic.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{Resumed, ThreadId};
+    use crate::WorkerSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-    #[test]
-    fn single_thread_round_trip() {
-        let mut pool: ThreadPool<u32> = ThreadPool::new();
-        let t = pool.spawn(|y| {
-            for i in 0..5 {
-                y.yield_op(i);
-            }
-        });
-        for i in 0..5 {
-            assert_eq!(pool.resume(t), Resumed::Op(i));
+    /// Counts its drops, to observe destructors of cancelled threads.
+    struct DropCount(Arc<AtomicUsize>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
-        assert_eq!(pool.resume(t), Resumed::Finished);
-        assert!(pool.is_finished(t));
     }
 
-    #[test]
-    fn batched_yield_round_trip() {
-        let mut pool: ThreadPool<u32> = ThreadPool::new();
-        let t = pool.spawn(|y| {
-            y.yield_batch(vec![1, 2, 3], 9);
-            y.yield_op(4);
-            y.yield_batch(Vec::new(), 0); // empty batches are legal
-        });
-        assert_eq!(pool.resume(t), Resumed::Batch(vec![1, 2, 3], 9));
-        assert_eq!(pool.resume(t), Resumed::Op(4));
-        assert_eq!(pool.resume(t), Resumed::Batch(Vec::new(), 0));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+    /// One step of a differential-test script.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Op(u32),
+        Batch(Vec<u32>, u32),
+        Panic(&'static str),
     }
 
-    #[test]
-    fn interleaving_is_simulator_controlled() {
-        let mut pool: ThreadPool<(usize, u32)> = ThreadPool::new();
-        let a = pool.spawn(|y| {
-            for i in 0..3 {
-                y.yield_op((0, i));
-            }
-        });
-        let b = pool.spawn(|y| {
-            for i in 0..3 {
-                y.yield_op((1, i));
-            }
-        });
-        // Alternate; the observed order is exactly the resume order.
-        let mut seen = Vec::new();
-        for i in 0..3 {
-            if let Resumed::Op(op) = pool.resume(a) {
-                seen.push(op);
-            }
-            if let Resumed::Op(op) = pool.resume(b) {
-                seen.push(op);
-            }
-            let _ = i;
-        }
-        assert_eq!(seen, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
+    /// What the driver observed for one resume.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Resumed(Resumed<u32>),
+        Panicked(String),
     }
 
-    #[test]
-    fn threads_share_state_without_locks() {
-        // The baton means plain Arc<UnsafeCell>-style sharing is sound; here
-        // we demonstrate with an AtomicU64 for the test's own sanity.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut pool: ThreadPool<()> = ThreadPool::new();
-        let mut tids = Vec::new();
-        for _ in 0..4 {
-            let c = counter.clone();
-            tids.push(pool.spawn(move |y| {
-                for _ in 0..10 {
-                    let v = c.load(Ordering::Relaxed);
-                    y.yield_op(());
-                    c.store(v + 1, Ordering::Relaxed);
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        super::panic_text(&*payload)
+    }
+
+    /// Every test of this module, instantiated once per backend.
+    macro_rules! backend_tests {
+        ($name:ident, $backend:ident) => {
+            mod $name {
+                use super::*;
+                use crate::threads::$backend::ThreadPool;
+
+                #[test]
+                fn single_thread_round_trip() {
+                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    let t = pool.spawn(|y| {
+                        for i in 0..5 {
+                            y.yield_op(i);
+                        }
+                    });
+                    for i in 0..5 {
+                        assert_eq!(pool.resume(t), Resumed::Op(i));
+                    }
+                    assert_eq!(pool.resume(t), Resumed::Finished);
+                    assert!(pool.is_finished(t));
                 }
-            }));
-        }
-        // Round-robin: the read-yield-write pattern would lose updates under
-        // real concurrency, but the baton serializes fully only if we resume
-        // one step at a time... here each thread reads, yields, then writes
-        // when next resumed, so interleaved resumes DO overlap windows.
-        // Resume each thread to completion sequentially instead: no overlap.
-        for &t in &tids {
-            loop {
-                if pool.resume(t) == Resumed::Finished {
-                    break;
+
+                #[test]
+                fn batched_yield_round_trip() {
+                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    let t = pool.spawn(|y| {
+                        y.yield_batch(vec![1, 2, 3], 9);
+                        y.yield_op(4);
+                        y.yield_batch(Vec::new(), 0); // empty batches are legal
+                    });
+                    assert_eq!(pool.resume(t), Resumed::Batch(vec![1, 2, 3], 9));
+                    assert_eq!(pool.resume(t), Resumed::Op(4));
+                    assert_eq!(pool.resume(t), Resumed::Batch(Vec::new(), 0));
+                    assert_eq!(pool.resume(t), Resumed::Finished);
+                }
+
+                #[test]
+                fn interleaving_is_simulator_controlled() {
+                    let mut pool: ThreadPool<(usize, u32)> = ThreadPool::new();
+                    let a = pool.spawn(|y| {
+                        for i in 0..3 {
+                            y.yield_op((0, i));
+                        }
+                    });
+                    let b = pool.spawn(|y| {
+                        for i in 0..3 {
+                            y.yield_op((1, i));
+                        }
+                    });
+                    // Alternate; the observed order is exactly the resume order.
+                    let mut seen = Vec::new();
+                    for _ in 0..3 {
+                        if let Resumed::Op(op) = pool.resume(a) {
+                            seen.push(op);
+                        }
+                        if let Resumed::Op(op) = pool.resume(b) {
+                            seen.push(op);
+                        }
+                    }
+                    assert_eq!(seen, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
+                }
+
+                #[test]
+                fn threads_share_state_without_locks() {
+                    // Each thread reads, yields, then writes when next
+                    // resumed; resuming each to completion in turn leaves
+                    // no overlapping windows, so no update is lost.
+                    let counter = Arc::new(AtomicUsize::new(0));
+                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let mut tids = Vec::new();
+                    for _ in 0..4 {
+                        let c = counter.clone();
+                        tids.push(pool.spawn(move |y| {
+                            for _ in 0..10 {
+                                let v = c.load(Ordering::Relaxed);
+                                y.yield_op(());
+                                c.store(v + 1, Ordering::Relaxed);
+                            }
+                        }));
+                    }
+                    for &t in &tids {
+                        while pool.resume(t) != Resumed::Finished {}
+                    }
+                    assert_eq!(counter.load(Ordering::Relaxed), 40);
+                }
+
+                #[test]
+                fn pools_sharing_a_worker_set_recycle_threads() {
+                    let workers = WorkerSet::new();
+                    let run_one = |ws: &WorkerSet| {
+                        let mut pool: ThreadPool<u32> = ThreadPool::with_workers(ws.clone());
+                        let tids: Vec<ThreadId> =
+                            (0..3).map(|i| pool.spawn(move |y| y.yield_op(i))).collect();
+                        for &t in &tids {
+                            let _ = pool.resume(t);
+                            assert_eq!(pool.resume(t), Resumed::Finished);
+                        }
+                        pool.thread_stats()
+                    };
+                    assert_eq!(run_one(&workers), (3, 0), "cold set spawns every thread");
+                    assert_eq!(run_one(&workers), (0, 3), "warm set spawns none");
+                    assert_eq!(run_one(&workers), (0, 3), "and stays warm");
+                }
+
+                #[test]
+                fn canceled_threads_return_to_the_worker_set() {
+                    let workers = WorkerSet::new();
+                    {
+                        let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers.clone());
+                        let t = pool.spawn(|y| {
+                            y.yield_op(());
+                            y.yield_op(());
+                        });
+                        let _ = pool.resume(t);
+                        // Dropped mid-simulation: the parked thread cancels
+                        // and its context goes back to the set.
+                    }
+                    let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers);
+                    let t = pool.spawn(|y| y.yield_op(()));
+                    let _ = pool.resume(t);
+                    assert_eq!(pool.resume(t), Resumed::Finished);
+                    assert_eq!(pool.thread_stats(), (0, 1), "canceled context was reused");
+                }
+
+                #[test]
+                fn dropping_mid_simulation_runs_parked_destructors() {
+                    let workers = WorkerSet::new();
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    {
+                        let mut pool: ThreadPool<u32> = ThreadPool::with_workers(workers.clone());
+                        for i in 0..4 {
+                            let guard = DropCount(drops.clone());
+                            pool.spawn(move |y| {
+                                let guard = guard;
+                                let _on_stack = DropCount(guard.0.clone());
+                                for k in 0.. {
+                                    y.yield_op(i * 100 + k);
+                                }
+                            });
+                        }
+                        // T0 and T1 are parked mid-program, T2 ran to its
+                        // first yield, T3 never started.
+                        for t in 0..3 {
+                            assert_eq!(pool.resume(ThreadId(t)), Resumed::Op(t as u32 * 100));
+                        }
+                        assert_eq!(pool.resume(ThreadId(0)), Resumed::Op(1));
+                        assert_eq!(drops.load(Ordering::SeqCst), 0);
+                    }
+                    // Three started threads drop two guards each, the
+                    // unstarted one only its captured guard.
+                    assert_eq!(drops.load(Ordering::SeqCst), 3 * 2 + 1);
+                    let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers);
+                    for _ in 0..4 {
+                        pool.spawn(|_| {});
+                    }
+                    assert_eq!(pool.thread_stats(), (0, 4), "every context was returned");
+                }
+
+                #[test]
+                #[should_panic(expected = "simulated thread T0 panicked: boom")]
+                fn app_panic_propagates() {
+                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let t = pool.spawn(|y| {
+                        y.yield_op(());
+                        panic!("boom");
+                    });
+                    let _ = pool.resume(t);
+                    let _ = pool.resume(t);
+                }
+
+                #[test]
+                fn driver_panic_with_parked_threads_reraises_the_original() {
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    let d = drops.clone();
+                    let caught = catch_unwind(AssertUnwindSafe(move || {
+                        let mut pool: ThreadPool<()> = ThreadPool::new();
+                        for _ in 0..3 {
+                            let guard = DropCount(d.clone());
+                            let t = pool.spawn(move |y| {
+                                let _guard = guard;
+                                loop {
+                                    y.yield_op(());
+                                }
+                            });
+                            let _ = pool.resume(t);
+                        }
+                        panic!("driver gave up");
+                    }));
+                    let msg = panic_message(caught.expect_err("the driver panicked"));
+                    assert_eq!(msg, "driver gave up");
+                    assert_eq!(drops.load(Ordering::SeqCst), 3, "parked threads unwound");
+                }
+
+                #[test]
+                fn drop_with_parked_threads_does_not_hang() {
+                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let t = pool.spawn(|y| {
+                        y.yield_op(());
+                        y.yield_op(());
+                    });
+                    let _ = pool.resume(t);
+                    drop(pool); // thread is parked inside the first yield: must not hang
+                }
+
+                #[test]
+                fn spawn_does_not_run_until_resumed() {
+                    use std::sync::atomic::AtomicBool;
+                    let ran = Arc::new(AtomicBool::new(false));
+                    let r = ran.clone();
+                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let t = pool.spawn(move |_| {
+                        r.store(true, Ordering::SeqCst);
+                    });
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    assert!(!ran.load(Ordering::SeqCst));
+                    assert_eq!(pool.resume(t), Resumed::Finished);
+                    assert!(ran.load(Ordering::SeqCst));
+                }
+
+                /// Runs `scripts` (one per thread), resuming in `schedule`
+                /// order and skipping threads that already ended; drops
+                /// the pool after `stop_after` resumes. Returns what the
+                /// driver saw and how many closures were dropped.
+                pub(super) fn run_script(
+                    scripts: &[Vec<Step>],
+                    schedule: &[usize],
+                    stop_after: usize,
+                ) -> (Vec<(usize, Seen)>, usize) {
+                    let drops = Arc::new(AtomicUsize::new(0));
+                    let mut seen = Vec::new();
+                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    for script in scripts {
+                        let script = script.clone();
+                        let guard = DropCount(drops.clone());
+                        pool.spawn(move |y| {
+                            let _guard = guard;
+                            for step in script {
+                                match step {
+                                    Step::Op(v) => y.yield_op(v),
+                                    Step::Batch(ops, tag) => y.yield_batch(ops, tag),
+                                    // Unwinds without the panic hook, which
+                                    // would print from the OS backend's
+                                    // worker threads.
+                                    Step::Panic(msg) => {
+                                        std::panic::resume_unwind(Box::new(msg.to_string()))
+                                    }
+                                }
+                            }
+                        });
+                    }
+                    let mut ended = vec![false; scripts.len()];
+                    for &t in schedule {
+                        if seen.len() == stop_after {
+                            break;
+                        }
+                        if ended[t] {
+                            continue;
+                        }
+                        let out = catch_unwind(AssertUnwindSafe(|| pool.resume(ThreadId(t))));
+                        let out = match out {
+                            Ok(r) => Seen::Resumed(r),
+                            Err(p) => Seen::Panicked(panic_message(p)),
+                        };
+                        ended[t] =
+                            matches!(out, Seen::Resumed(Resumed::Finished) | Seen::Panicked(_));
+                        assert_eq!(pool.is_finished(ThreadId(t)), ended[t]);
+                        seen.push((t, out));
+                    }
+                    drop(pool);
+                    (seen, drops.load(Ordering::SeqCst))
                 }
             }
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn pools_sharing_a_worker_set_recycle_threads() {
-        let workers = WorkerSet::new();
-        let run_one = |ws: &WorkerSet| {
-            let mut pool: ThreadPool<u32> = ThreadPool::with_workers(ws.clone());
-            let tids: Vec<ThreadId> = (0..3).map(|i| pool.spawn(move |y| y.yield_op(i))).collect();
-            for &t in &tids {
-                let _ = pool.resume(t);
-                assert_eq!(pool.resume(t), Resumed::Finished);
-            }
-            pool.thread_stats()
         };
-        assert_eq!(run_one(&workers), (3, 0), "cold set spawns every thread");
-        assert_eq!(run_one(&workers), (0, 3), "warm set spawns none");
-        assert_eq!(run_one(&workers), (0, 3), "and stays warm");
     }
 
-    #[test]
-    fn canceled_threads_return_to_the_worker_set() {
-        let workers = WorkerSet::new();
-        {
-            let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers.clone());
-            let t = pool.spawn(|y| {
-                y.yield_op(());
-                y.yield_op(());
-            });
-            let _ = pool.resume(t);
-            // Dropped mid-simulation: the parked thread cancels, and the
-            // drop quiesce guarantees its worker re-parked.
+    backend_tests!(os_backend, os);
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    backend_tests!(coro_backend, coro);
+
+    /// A deterministic xorshift stream for the differential scripts.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut s = seed.max(1);
+        move |n| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % n
         }
-        let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers);
-        let t = pool.spawn(|y| y.yield_op(()));
-        let _ = pool.resume(t);
-        assert_eq!(pool.resume(t), Resumed::Finished);
-        assert_eq!(pool.thread_stats(), (0, 1), "canceled worker was reused");
     }
 
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn app_panic_propagates() {
-        let mut pool: ThreadPool<()> = ThreadPool::new();
-        let t = pool.spawn(|y| {
-            y.yield_op(());
-            panic!("boom");
-        });
-        let _ = pool.resume(t);
-        let _ = pool.resume(t);
+    /// Random scripts of ops, tagged batches (empty ones included) and
+    /// panics, on a random resume schedule that may stop early.
+    fn scripted_case(seed: u64) -> (Vec<Vec<Step>>, Vec<usize>, usize) {
+        let mut r = rng(seed);
+        let threads = 1 + r(6) as usize;
+        let scripts: Vec<Vec<Step>> = (0..threads)
+            .map(|t| {
+                let len = r(12) as usize;
+                (0..len)
+                    .map(|i| match r(10) {
+                        0..=4 => Step::Op((t * 1000 + i) as u32),
+                        5..=7 => Step::Batch(
+                            (0..r(5) as u32).map(|k| k * 7 + i as u32).collect(),
+                            r(4) as u32,
+                        ),
+                        8 => Step::Batch(Vec::new(), 3),
+                        _ => Step::Panic(if t % 2 == 0 {
+                            "even thread failed"
+                        } else {
+                            "odd thread failed"
+                        }),
+                    })
+                    .collect()
+            })
+            .collect();
+        let schedule: Vec<usize> = (0..threads * 16)
+            .map(|_| r(threads as u64) as usize)
+            .collect();
+        let stop_after = if r(3) == 0 {
+            r(threads as u64 * 8) as usize
+        } else {
+            usize::MAX
+        };
+        (scripts, schedule, stop_after)
     }
 
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]
-    fn drop_with_parked_threads_does_not_hang() {
-        let mut pool: ThreadPool<()> = ThreadPool::new();
-        let t = pool.spawn(|y| {
-            y.yield_op(());
-            y.yield_op(());
-        });
-        let _ = pool.resume(t);
-        drop(pool); // thread is parked inside the first yield: must not hang
-    }
-
-    #[test]
-    fn spawn_does_not_run_until_resumed() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let ran = Arc::new(AtomicBool::new(false));
-        let r = ran.clone();
-        let mut pool: ThreadPool<()> = ThreadPool::new();
-        let t = pool.spawn(move |_| {
-            r.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!ran.load(Ordering::SeqCst));
-        assert_eq!(pool.resume(t), Resumed::Finished);
-        assert!(ran.load(Ordering::SeqCst));
+    fn backends_agree_on_scripted_runs() {
+        for seed in 1..=200 {
+            let (scripts, schedule, stop_after) = scripted_case(seed);
+            let os = os_backend::run_script(&scripts, &schedule, stop_after);
+            let coro = coro_backend::run_script(&scripts, &schedule, stop_after);
+            assert_eq!(os, coro, "seed {seed}: backends diverged on {scripts:?}");
+            assert_eq!(
+                coro.1,
+                scripts.len(),
+                "seed {seed}: every closure dropped once"
+            );
+        }
     }
 }

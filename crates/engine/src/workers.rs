@@ -1,10 +1,14 @@
-//! A reusable pool of OS worker threads.
+//! A reusable pool of OS worker threads and fiber stacks.
 //!
 //! Spawning an OS thread per simulated processor per simulation is the
 //! dominant setup cost of small sweep cells: a test-scale cell finishes in
 //! milliseconds, but pays for `nprocs` thread spawns and joins every time.
 //! A [`WorkerSet`] keeps workers parked between jobs so consecutive
-//! simulations (and retry attempts) reuse the same OS threads.
+//! simulations (and retry attempts) reuse the same OS threads. On x86_64
+//! Linux, where simulated processors are fibers rather than threads, the
+//! set parks their mapped stacks in the same way (see
+//! `crate::threads::coro`); its OS workers then run only the callers' own
+//! jobs, such as a sweep's per-cell guards.
 //!
 //! A job runs to completion on one worker and then hands back a
 //! *completion* closure. The worker re-registers itself as idle **before**
@@ -13,14 +17,22 @@
 //! is already available for reuse. This ordering is what makes "zero fresh
 //! spawns on the next simulation" deterministic rather than a race.
 //!
-//! Workers are detached: when the last [`WorkerSet`] handle drops, the
-//! idle workers' job channels close and the threads exit on their own.
-//! A worker abandoned mid-job (e.g. a timed-out sweep cell) is simply
-//! unavailable until its job finishes, after which it re-idles.
+//! Workers are detached. A parked worker's job channel has exactly one
+//! sender, and it sits on the set's idle list; a busy worker carries it
+//! (it arrived with the job) until it re-parks. So when the last
+//! [`WorkerSet`] handle drops, the idle workers' channels close and the
+//! threads exit on their own. A worker abandoned mid-job (e.g. a timed-out
+//! sweep cell) is simply unavailable until its job finishes, after which
+//! it re-idles, or exits if the set is gone. Parked stacks are unmapped
+//! with the set.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, Weak};
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::fiber::Stack;
 
 /// What a worker runs: the job body, returning the completion closure the
 /// worker invokes after re-parking itself.
@@ -32,12 +44,22 @@ pub type Completion = Box<dyn FnOnce() + Send + 'static>;
 /// Thread-name prefix of pooled workers (`ssm-worker-<n>`).
 pub const WORKER_THREAD_PREFIX: &str = "ssm-worker-";
 
+/// A job together with the worker's own job sender, which the worker puts
+/// back on the idle list when it re-parks.
+struct Lease {
+    job: Job,
+    tx: Sender<Lease>,
+}
+
 struct Inner {
-    idle: Mutex<Vec<Sender<Job>>>,
+    idle: Mutex<Vec<Sender<Lease>>>,
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    stacks: Mutex<Vec<Stack>>,
     stack_size: usize,
 }
 
-/// A shared, recyclable set of OS worker threads.
+/// A shared, recyclable set of OS worker threads (and, on x86_64 Linux,
+/// fiber stacks).
 ///
 /// Cloning is cheap (`Arc` inside); all clones feed the same idle list.
 #[derive(Clone)]
@@ -53,6 +75,8 @@ impl WorkerSet {
         WorkerSet {
             inner: Arc::new(Inner {
                 idle: Mutex::new(Vec::new()),
+                #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+                stacks: Mutex::new(Vec::new()),
                 stack_size: 8 << 20,
             }),
         }
@@ -66,17 +90,19 @@ impl WorkerSet {
     /// Runs `job` on an idle worker, spawning a fresh one only if none is
     /// parked. Returns `true` if an existing worker was reused.
     pub fn submit(&self, job: Job) -> bool {
-        // Reuse loop: a parked worker's channel can only be closed if its
-        // thread exited (it never closes its own receiver while parked),
-        // which cannot happen for a registered idle worker — but stay
-        // defensive and fall through to a fresh spawn on send failure.
+        // A parked worker never exits while its sender is on the idle list,
+        // but stay defensive and fall through to a fresh spawn on send
+        // failure.
         let mut job = job;
         loop {
             let recycled = self.inner.idle.lock().expect("idle list").pop();
             match recycled {
-                Some(tx) => match tx.send(job) {
+                Some(tx) => match tx.send(Lease {
+                    job,
+                    tx: tx.clone(),
+                }) {
                     Ok(()) => return true,
-                    Err(err) => job = err.0,
+                    Err(err) => job = err.0.job,
                 },
                 None => break,
             }
@@ -85,39 +111,50 @@ impl WorkerSet {
         false
     }
 
+    /// Takes a parked fiber stack, if any.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn take_stack(&self) -> Option<Stack> {
+        self.inner.stacks.lock().expect("stack list").pop()
+    }
+
+    /// Parks a fiber stack for the next pool.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn put_stack(&self, stack: Stack) {
+        // Called from `Drop`: a poisoned list is still a valid list.
+        let mut stacks = self.inner.stacks.lock().unwrap_or_else(|e| e.into_inner());
+        stacks.push(stack);
+    }
+
     fn spawn_worker(&self, first_job: Job) {
-        static WORKER_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let seq = WORKER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (job_tx, job_rx) = channel::<Job>();
+        static WORKER_SEQ: AtomicUsize = AtomicUsize::new(0);
+        let seq = WORKER_SEQ.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = channel::<Lease>();
         let weak: Weak<Inner> = Arc::downgrade(&self.inner);
         std::thread::Builder::new()
             .name(format!("{WORKER_THREAD_PREFIX}{seq}"))
             .stack_size(self.inner.stack_size)
             .spawn(move || {
-                let mut next = Some(first_job);
-                loop {
-                    let job = match next.take() {
-                        Some(j) => j,
-                        None => match job_rx.recv() {
-                            Ok(j) => j,
-                            Err(_) => return, // set dropped while parked
-                        },
-                    };
+                let mut next = Some(Lease { job: first_job, tx });
+                // Parked: the only sender is on the idle list, so `recv`
+                // fails once the set is gone.
+                while let Some(Lease { job, tx }) = next.take().or_else(|| rx.recv().ok()) {
                     let completion = catch_unwind(AssertUnwindSafe(job));
                     // Re-park *before* delivering the result, so observers
                     // of the completion can immediately reuse this worker.
-                    match weak.upgrade() {
-                        Some(inner) => inner.idle.lock().expect("idle list").push(job_tx.clone()),
-                        None => {
-                            // The set is gone; deliver and exit.
-                            if let Ok(done) = completion {
-                                done();
-                            }
-                            return;
+                    // With the set gone, drop the sender and exit after
+                    // delivering.
+                    let parked = match weak.upgrade() {
+                        Some(inner) => {
+                            inner.idle.lock().expect("idle list").push(tx);
+                            true
                         }
-                    }
+                        None => false,
+                    };
                     if let Ok(done) = completion {
                         done();
+                    }
+                    if !parked {
+                        return;
                     }
                 }
             })

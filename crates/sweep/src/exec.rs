@@ -271,7 +271,7 @@ pub fn execute(cell: &Cell) -> Result<CellRecord, String> {
 }
 
 /// [`execute`] with the sweep's engine knobs: an optional shared
-/// [`WorkerSet`] to recycle OS threads across cells, and the batching
+/// [`WorkerSet`] to recycle execution contexts across cells, and the batching
 /// toggle. Neither affects simulated results.
 pub fn execute_with(
     cell: &Cell,
@@ -309,8 +309,10 @@ static ACTIVE_CELLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Installs (once per process) a panic hook that suppresses the default
 /// backtrace spew for panics on sweep-owned threads — the pooled
-/// `ssm-worker-N` threads that run both the per-cell guard jobs and the
-/// engine's application threads — while cells are in flight. The panic
+/// `ssm-worker-N` threads that run the per-cell guard jobs and, with
+/// them, the engine's application threads (coroutines on the guard's own
+/// thread, or pooled workers of their own off x86_64 Linux) — while cells
+/// are in flight. The panic
 /// still unwinds and is reported as a failed cell; every other thread
 /// keeps the previous hook's behavior.
 fn install_panic_filter() {
@@ -568,9 +570,11 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
     let deques_ref = &deques;
     let shared = &shared_results;
 
-    // One worker set per sweep: both the per-cell guard jobs and every
-    // simulation's application threads lease OS threads from it, so cell
-    // N+1 recycles cell N's threads instead of spawning.
+    // One worker set per sweep: the per-cell guard jobs lease OS threads
+    // from it and every simulation leases its application threads'
+    // stacks (or threads, off x86_64 Linux), so cell N+1 recycles cell
+    // N's instead of creating its own. Dropping the set at the end of the
+    // run lets its parked workers exit.
     let workers = WorkerSet::new();
     let workers_ref = &workers;
 

@@ -39,11 +39,13 @@ pub struct CellRecord {
     /// How many execution attempts this result took (1 = first try; >1
     /// means `--retries` re-ran the cell after a panic or timeout).
     pub attempts: u64,
-    /// OS threads freshly spawned for this cell (host-side, depends on
-    /// worker-pool warmth — zeroed in [`CellRecord::canonical`] like
-    /// `host_ms`).
+    /// Execution contexts freshly created for this cell's application
+    /// threads — stack mappings on x86_64 Linux, OS threads elsewhere
+    /// (host-side, depends on worker-pool warmth — zeroed in
+    /// [`CellRecord::canonical`] like `host_ms`).
     pub threads_spawned: u64,
-    /// OS threads recycled from the sweep's worker pool for this cell
+    /// Execution contexts (stacks, or OS threads off x86_64 Linux)
+    /// recycled from the sweep's worker pool for this cell
     /// (host-side, zeroed in canonical form).
     pub threads_reused: u64,
 }

@@ -130,10 +130,11 @@ fn batching_cuts_handoffs_at_least_3x_on_most_apps() {
 #[test]
 fn second_cell_of_a_sweep_spawns_no_threads() {
     // With one sweep worker the two cells run back to back on the same
-    // WorkerSet: the first cell's simulation spawns its application
-    // threads, the second leases every one of them back out of the idle
-    // pool. `threads_spawned`/`threads_reused` come from the simulation's
-    // own ThreadPool, so the guard thread is not in these numbers.
+    // WorkerSet: the first cell's simulation creates an execution context
+    // (a stack, or an OS thread off x86_64 Linux) per application thread,
+    // the second leases every one of them back out of the set.
+    // `threads_spawned`/`threads_reused` come from the simulation's own
+    // ThreadPool, so the guard thread is not in these numbers.
     let cells = [
         Cell::ideal("FFT", PROCS, Scale::Test),
         Cell::ideal("Radix", PROCS, Scale::Test),
