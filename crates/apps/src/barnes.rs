@@ -226,7 +226,7 @@ impl Tree {
     }
 
     /// Inserts body `b` at `x` into the subtree rooted at `root`,
-    /// allocating cells from `pool` (a `(next, end)` cursor). `lock_cells`
+    /// allocating cells from `pool` (see [`alloc_cell`]). `lock_cells`
     /// selects the Barnes-original per-cell locking discipline.
     #[allow(clippy::too_many_arguments)]
     fn insert(
@@ -237,7 +237,7 @@ impl Tree {
         b: usize,
         x: [f64; 3],
         root: usize,
-        pool: &mut (usize, usize),
+        pool: &mut [(usize, usize)],
         lock_cells: bool,
     ) {
         let mut cur = root;
@@ -267,9 +267,7 @@ impl Tree {
                 Slot::Body(b2) => {
                     // Split: create a child cell holding b2, publish it,
                     // then keep descending with b.
-                    let nc = pool.0;
-                    assert!(nc < pool.1, "cell pool exhausted");
-                    pool.0 += 1;
+                    let nc = alloc_cell(pool);
                     let (ncenter, _nh) = self.create_cell(p, nc, &c, h, oct);
                     let b2pos = read_block(p, pos, b2 * 3, 3);
                     let o2 = octant(&b2pos, &ncenter);
@@ -385,6 +383,17 @@ impl Tree {
     }
 }
 
+/// Takes the next free cell of `pool`, a list of `(next, end)` cursors
+/// used in order: a processor's own range first, then any spill ranges.
+fn alloc_cell(pool: &mut [(usize, usize)]) -> usize {
+    let range = pool
+        .iter_mut()
+        .find(|r| r.0 < r.1)
+        .expect("cell pool exhausted");
+    range.0 += 1;
+    range.0 - 1
+}
+
 /// Accumulates the softened gravitational pull of mass `m` at `src` on a
 /// body at `x`.
 fn add_grav(acc: &mut [f64; 3], x: &[f64; 3], src: &[f64; 3], m: f64) {
@@ -456,10 +465,18 @@ impl Workload for Barnes {
                     let (b0, b1) = block_range(n, np, pid);
                     // Per-processor cell pool; the first 9 global slots
                     // (root + 8 top octant cells) come off P0's pool.
-                    let pool_lo = pid * (cap / np) + if pid == 0 { 9 } else { 0 };
-                    let pool_hi = (pid + 1) * (cap / np);
+                    let range = |q: usize| (q * (cap / np), (q + 1) * (cap / np));
+                    let own = (range(pid).0 + if pid == 0 { 9 } else { 0 }, range(pid).1);
+                    // Spatial builds use only processors with an octant
+                    // (the first 8); each spills into the ranges of the
+                    // processors that never build once its own runs out.
+                    let spill = (8..np).filter(|q| q % 8 == pid).map(range);
+                    let ranges: Vec<(usize, usize)> = match variant {
+                        BarnesVariant::Spatial => std::iter::once(own).chain(spill).collect(),
+                        BarnesVariant::Original => vec![own],
+                    };
                     for step in 0..steps {
-                        let mut pool = (pool_lo, pool_hi);
+                        let mut pool = ranges.clone();
                         // --- Build phase ---
                         if pid == 0 {
                             // Reset the root (and, for the spatial variant,
@@ -736,6 +753,22 @@ mod tests {
                     r.verify_error
                 );
             }
+        }
+    }
+
+    #[test]
+    fn spatial_test_scale_completes_on_16_processors() {
+        // Only 8 of the 16 processors build octants; their own cell
+        // ranges are too small at this scale, so they spill into the idle
+        // processors' ranges.
+        let spec = crate::catalog::by_name("Barnes-Spatial").expect("catalog entry");
+        for proto in [Protocol::Hlrc, Protocol::Sc, Protocol::Rdma] {
+            let w = spec.build(crate::catalog::Scale::Test);
+            let r = SimBuilder::new(proto)
+                .procs(16)
+                .sc_block(spec.sc_block)
+                .run(w.as_ref());
+            assert!(r.verify_error.is_none(), "{proto:?}: {:?}", r.verify_error);
         }
     }
 

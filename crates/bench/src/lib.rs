@@ -57,7 +57,7 @@ pub fn report_failures(run: &ssm_sweep::SweepRun) {
     }
 }
 
-/// A measured timing sample from [`bench`].
+/// A measured timing sample from [`bench()`].
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Iterations per sample batch.

@@ -264,7 +264,7 @@ pub fn run_simulation_with(
             else {
                 panic!("protocol woke P{q}, which is not blocked");
             };
-            settle_window(m, q, since, t, bucket_total_before, bucket);
+            settle(m, q, since, t, bucket_total_before, bucket);
             state[q] = PState::Ready;
         }
     }
@@ -314,11 +314,10 @@ fn observe(
     }
 }
 
+/// The window rule: advances `p`'s clock to `t1` and charges to `bucket`
+/// whatever part of `[t0, t1)` was not charged since the breakdown total
+/// was `before`.
 fn settle(m: &mut Machine, p: usize, t0: Cycles, t1: Cycles, before: u64, bucket: Bucket) {
-    settle_window(m, p, t0, t1, before, bucket);
-}
-
-fn settle_window(m: &mut Machine, p: usize, t0: Cycles, t1: Cycles, before: u64, bucket: Bucket) {
     let t1 = t1.max(t0);
     let elapsed = t1 - t0;
     let charged = m.breakdowns()[p].total() - before;

@@ -54,7 +54,7 @@ pub mod workers;
 
 pub use queue::EventQueue;
 pub use resource::{Pipe, Resource};
-pub use threads::{Resumed, ThreadId, ThreadPool, Yielder};
+pub use threads::{panic_text, Resumed, ThreadId, ThreadPool, Yielder};
 pub use workers::{Completion, Job, WorkerSet, WORKER_THREAD_PREFIX};
 
 /// Simulated time, in cycles of the modelled processor.

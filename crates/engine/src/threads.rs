@@ -86,8 +86,8 @@ pub enum Resumed<R> {
     Finished,
 }
 
-/// The message of a captured application panic.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic: its `String` or `&str` payload.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()

@@ -1,7 +1,7 @@
 //! The coroutine backend: every simulated processor is a fiber on the
 //! resuming thread.
 //!
-//! Each spawned closure runs on its own 8 MiB [`Stack`], leased from the
+//! Each spawned closure runs on its own 8 MiB `fiber::Stack`, leased from the
 //! pool's [`WorkerSet`]. [`ThreadPool::resume`] switches into the fiber on
 //! the caller's OS thread; [`Yielder::yield_op`] and
 //! [`Yielder::yield_batch`] leave the operation in a one-slot mailbox and

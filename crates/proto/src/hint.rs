@@ -1,8 +1,9 @@
 //! Thread-side locality hints that let application threads *run ahead* of
 //! the simulator.
 //!
-//! The baton scheme charges two OS context switches per yielded operation.
-//! Most shared accesses in a steady-state run are local (a cached page, a
+//! The baton scheme pays one handoff per yielded operation: a coroutine
+//! switch there and back on x86_64 Linux, two OS context switches on the
+//! OS-thread backend. Most shared accesses in a steady-state run are local (a cached page, a
 //! home-node access), and the simulator's decision for them never unblocks
 //! another processor — so the handoff is pure overhead. A [`HintBoard`]
 //! records, per processor and per page, whether the *last* access of each

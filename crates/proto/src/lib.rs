@@ -3,10 +3,11 @@
 //! protocol cost model, the synchronization managers, and the [`Machine`]
 //! that ties one simulated cluster together.
 //!
-//! The actual coherence protocols live in their own crates (`ssm-hlrc` and
-//! `ssm-sc`) and implement the [`Protocol`] trait defined here; `ssm-core`
-//! provides the driver loop that advances application threads and calls
-//! into the protocol.
+//! The actual coherence protocols live in their own crates (`ssm-hlrc`,
+//! `ssm-sc` and `ssm-rdma`), implement the [`Protocol`] trait defined here
+//! and build their locks and barriers on the shared [`SyncManager`];
+//! `ssm-core` provides the driver loop that advances application threads
+//! and calls into the protocol.
 //!
 //! # Layering (paper Figure 1)
 //!
@@ -31,7 +32,7 @@ pub use hint::HintBoard;
 pub use machine::{Machine, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
-pub use sync::{BarrierTable, LockTable};
+pub use sync::{BarrierTable, Episode, LockTable, SendFrom, SyncManager};
 pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_MISS, FLUSH_SYNC};
 pub use workload::{ThreadBody, Workload};
 

@@ -1,9 +1,17 @@
-//! Reusable synchronization bookkeeping for protocol implementations: a
-//! FIFO lock table and an episode-counting barrier table.
+//! The synchronization layer shared by every protocol: a FIFO lock table,
+//! an episode-counting barrier table, and the [`SyncManager`] that places
+//! each lock and barrier at a manager node and charges the messages of the
+//! plain lock and barrier protocol.
 //!
-//! These structures hold *semantic* state only (who holds what, who waits);
-//! the protocols decide what messages and costs each transition incurs.
+//! The tables hold *semantic* state only (who holds what, who waits). The
+//! manager adds the message and cost pattern common to HLRC, SC and RDMA;
+//! each protocol wraps it with its own consistency actions (release
+//! flushes, write notices, ownership handoffs).
 
+use ssm_engine::Cycles;
+
+use crate::machine::{Activity, Machine};
+use crate::protocol::WorldShape;
 use crate::shmem::{BarrierId, LockId};
 
 /// State of one lock.
@@ -25,7 +33,7 @@ struct LockState {
 /// assert_eq!(t.release(LockId(0), 3), Some(5)); // handed to the waiter
 /// assert_eq!(t.release(LockId(0), 5), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LockTable {
     locks: Vec<LockState>,
 }
@@ -115,7 +123,7 @@ struct BarrierState {
 /// assert_eq!(t.arrive(BarrierId(0), 1), Some(vec![0, 1]));
 /// assert_eq!(t.episodes(BarrierId(0)), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BarrierTable {
     barriers: Vec<BarrierState>,
     nprocs: usize,
@@ -178,9 +186,284 @@ impl BarrierTable {
     }
 }
 
+/// The context a processor sends a message to a manager from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendFrom {
+    /// Application context: the send overhead counts as the operation's wait.
+    App,
+    /// Handler context: the send overhead is Protocol time.
+    Handler,
+}
+
+/// A completed barrier episode, handed to the last arrival's protocol.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Episode {
+    /// The barrier's manager node.
+    pub mgr: usize,
+    /// When the manager has handled the latest arrival.
+    start: Cycles,
+    /// Every participant, in arrival order.
+    procs: Vec<usize>,
+}
+
+impl Episode {
+    /// Releases the episode for its last arrival `p`: `send(m, q, t)`
+    /// releases `q` from a manager free at `t` and returns `(manager free
+    /// again, q released)`. Wakes the other participants, counts one
+    /// barrier for `p` and returns `p`'s completion.
+    pub fn release(
+        self,
+        m: &mut Machine,
+        p: usize,
+        mut send: impl FnMut(&mut Machine, usize, Cycles) -> (Cycles, Cycles),
+    ) -> Cycles {
+        let (mut t_mgr, mut mine) = (self.start, self.start);
+        for q in self.procs {
+            let (free, t_q) = send(m, q, t_mgr);
+            t_mgr = free;
+            if q == p {
+                mine = t_q;
+            } else {
+                m.wake(q, t_q);
+            }
+        }
+        m.counters_mut(p).barriers += 1;
+        mine
+    }
+}
+
+/// The distributed lock manager and barrier manager. Lock and barrier `i`
+/// live at node `i % nprocs`. Requests, release notices, arrivals, plain
+/// grants and plain barrier releases are `ctrl_bytes` control messages
+/// handled at their destination; a request to the local manager costs one
+/// `handler_base`, a grant or release to it nothing.
+#[derive(Debug, Default)]
+pub struct SyncManager {
+    nprocs: usize,
+    ctrl_bytes: u64,
+    locks: LockTable,
+    barriers: BarrierTable,
+    /// Per barrier: when the manager handled the episode's latest arrival.
+    latest: Vec<Cycles>,
+}
+
+impl SyncManager {
+    /// Creates the managers of `shape`'s locks and barriers.
+    pub fn new(nprocs: usize, shape: &WorldShape, ctrl_bytes: u64) -> Self {
+        SyncManager {
+            nprocs,
+            ctrl_bytes,
+            locks: LockTable::new(shape.nlocks),
+            barriers: BarrierTable::new(shape.nbarriers, nprocs),
+            latest: vec![0; shape.nbarriers],
+        }
+    }
+
+    /// Manager node of `lock`.
+    pub fn lock_home(&self, lock: LockId) -> usize {
+        lock.0 as usize % self.nprocs
+    }
+
+    /// Manager node of `barrier`.
+    pub fn barrier_home(&self, barrier: BarrierId) -> usize {
+        barrier.0 as usize % self.nprocs
+    }
+
+    /// Direct access to the lock table (test setup hook).
+    pub fn locks_mut(&mut self) -> &mut LockTable {
+        &mut self.locks
+    }
+
+    /// `p` requests `lock`: counts the acquire and sends the request.
+    /// Returns when the manager handled it if the lock is granted at once
+    /// (the protocol then grants it), `None` if `p` was queued.
+    pub fn request(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
+        m.counters_mut(p).lock_acquires += 1;
+        let now = m.clock[p];
+        let (_, t_mgr) = self.to_manager(m, p, self.lock_home(lock), now, SendFrom::App);
+        self.locks.acquire(lock, p).then_some(t_mgr)
+    }
+
+    /// The plain grant from `lock`'s manager, free at `t_mgr`, to `w`.
+    /// Returns when `w` holds the lock.
+    pub fn grant(&self, m: &mut Machine, lock: LockId, w: usize, t_mgr: Cycles) -> Cycles {
+        self.control(m, self.lock_home(lock), w, t_mgr).1
+    }
+
+    /// `p` releases `lock` at `t`, sending the notice from `from`. Returns
+    /// `p`'s completion and, if a waiter was queued, that next holder with
+    /// when the manager handled the notice, for the protocol's grant.
+    pub fn release(
+        &mut self,
+        m: &mut Machine,
+        p: usize,
+        lock: LockId,
+        t: Cycles,
+        from: SendFrom,
+    ) -> (Cycles, Option<(usize, Cycles)>) {
+        let (local, t_mgr) = self.to_manager(m, p, self.lock_home(lock), t, from);
+        (local, self.locks.release(lock, p).map(|next| (next, t_mgr)))
+    }
+
+    /// `p` arrives at `barrier` at `t`. Returns the completed episode if
+    /// `p` is the last arrival.
+    pub fn arrive(
+        &mut self,
+        m: &mut Machine,
+        p: usize,
+        barrier: BarrierId,
+        t: Cycles,
+    ) -> Option<Episode> {
+        let mgr = self.barrier_home(barrier);
+        let (_, t_arr) = self.to_manager(m, p, mgr, t, SendFrom::App);
+        let latest = &mut self.latest[barrier.0 as usize];
+        *latest = (*latest).max(t_arr);
+        let procs = self.barriers.arrive(barrier, p)?;
+        let start = std::mem::take(&mut self.latest[barrier.0 as usize]);
+        Some(Episode { mgr, start, procs })
+    }
+
+    /// The plain barrier release, one control message per participant.
+    /// Returns the last arrival `p`'s completion.
+    pub fn release_all(&self, m: &mut Machine, p: usize, episode: Episode) -> Cycles {
+        let mgr = episode.mgr;
+        episode.release(m, p, |m, q, t| self.control(m, mgr, q, t))
+    }
+
+    /// A control message from `p` at `t` to manager `mgr`. Returns `(p
+    /// free, handled at mgr)`.
+    fn to_manager(
+        &self,
+        m: &mut Machine,
+        p: usize,
+        mgr: usize,
+        t: Cycles,
+        from: SendFrom,
+    ) -> (Cycles, Cycles) {
+        if mgr == p {
+            let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
+            return (t, t);
+        }
+        let (local, arr) = match from {
+            SendFrom::App => m.send_from_app(p, t, mgr, self.ctrl_bytes),
+            SendFrom::Handler => m.send_from_handler(p, t, mgr, self.ctrl_bytes),
+        };
+        (local, m.handle_request(mgr, arr, 0))
+    }
+
+    /// A control message from manager `mgr` at `t` to `q`. Returns `(mgr
+    /// free, handled at q)`.
+    fn control(&self, m: &mut Machine, mgr: usize, q: usize, t: Cycles) -> (Cycles, Cycles) {
+        if mgr == q {
+            return (t, t);
+        }
+        let (local, arr) = m.send_from_handler(mgr, t, q, self.ctrl_bytes);
+        (local, m.handle_request(q, arr, 0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::ProtoCosts;
+    use ssm_mem::MemConfig;
+    use ssm_net::CommParams;
+    use ssm_stats::Bucket;
+
+    fn machine(n: usize) -> Machine {
+        Machine::new(
+            n,
+            CommParams::achievable(),
+            ProtoCosts::original(),
+            MemConfig::pentium_pro_like(),
+        )
+    }
+
+    /// Two locks and one barrier over `n` processors, 32-byte messages.
+    fn manager(n: usize) -> SyncManager {
+        let shape = WorldShape {
+            heap_bytes: 0,
+            nlocks: 2,
+            nbarriers: 1,
+        };
+        SyncManager::new(n, &shape, 32)
+    }
+
+    #[test]
+    fn local_request_costs_one_handler_and_no_message() {
+        let (mut m, mut s) = (machine(2), manager(2));
+        m.clock[0] = 100;
+        let hb = m.costs().handler_base;
+        // LockId(0) is managed at node 0.
+        assert_eq!(s.request(&mut m, 0, LockId(0)), Some(100 + hb));
+        assert_eq!(m.counters()[0].messages, 0);
+        assert_eq!(m.counters()[0].lock_acquires, 1);
+        assert_eq!(m.breakdowns()[0].get(Bucket::Protocol), hb);
+    }
+
+    #[test]
+    fn remote_request_costs_one_message_and_a_handler_at_the_manager() {
+        let (mut m, mut s) = (machine(2), manager(2));
+        // LockId(1) is managed at node 1.
+        let t = s.request(&mut m, 0, LockId(1)).expect("free lock");
+        let mut by_hand = machine(2);
+        let (_, arr) = by_hand.send_from_app(0, 0, 1, 32);
+        assert_eq!(t, by_hand.handle_request(1, arr, 0));
+        assert_eq!((m.counters()[0].messages, m.counters()[0].bytes), (1, 32));
+        // An application send: no Protocol time at the requester.
+        assert_eq!(m.breakdowns()[0].get(Bucket::Protocol), 0);
+        let handler = m.comm().msg_handling + m.costs().handler(0);
+        assert_eq!(m.breakdowns()[1].get(Bucket::Protocol), handler);
+    }
+
+    #[test]
+    fn release_returns_the_queued_waiter_and_the_manager_time() {
+        let (mut m, mut s) = (machine(2), manager(2));
+        assert!(s.request(&mut m, 1, LockId(1)).is_some());
+        assert_eq!(s.request(&mut m, 0, LockId(1)), None);
+        // The holder is the manager: the notice is one local handler.
+        let t_mgr = 100_000 + m.costs().handler_base;
+        let (local, next) = s.release(&mut m, 1, LockId(1), 100_000, SendFrom::App);
+        assert_eq!((local, next), (t_mgr, Some((0, t_mgr))));
+        assert_eq!(s.locks_mut().holder(LockId(1)), Some(0));
+        assert_eq!(
+            s.release(&mut m, 0, LockId(1), t_mgr, SendFrom::App).1,
+            None
+        );
+    }
+
+    #[test]
+    fn only_the_last_arrival_gets_the_episode() {
+        let (mut m, mut s) = (machine(3), manager(3));
+        assert_eq!(s.arrive(&mut m, 1, BarrierId(0), 0), None);
+        assert_eq!(s.arrive(&mut m, 2, BarrierId(0), 0), None);
+        let ep = s.arrive(&mut m, 0, BarrierId(0), 0).expect("last arrival");
+        assert_eq!((ep.mgr, ep.procs.clone()), (0, vec![1, 2, 0]));
+        // The episode starts once the manager has handled every arrival.
+        assert!(ep.start > m.costs().handler_base);
+        // The barrier resets for the next episode.
+        assert_eq!(s.arrive(&mut m, 0, BarrierId(0), ep.start), None);
+    }
+
+    #[test]
+    fn plain_release_wakes_every_other_arrival_and_counts_one_barrier() {
+        let (mut m, mut s) = (machine(3), manager(3));
+        for p in [0, 2] {
+            assert_eq!(s.arrive(&mut m, p, BarrierId(0), 0), None);
+        }
+        let ep = s.arrive(&mut m, 1, BarrierId(0), 0).expect("last arrival");
+        let sent = m.counters()[0].messages;
+        let start = ep.start;
+        let done = s.release_all(&mut m, 1, ep);
+        assert!(done > start);
+        let mut woken: Vec<usize> = m.take_wakeups().iter().map(|&(q, _)| q).collect();
+        woken.sort_unstable();
+        assert_eq!(woken, vec![0, 2]);
+        // The manager (node 0) messages each of the two other participants.
+        assert_eq!(m.counters()[0].messages - sent, 2);
+        let barriers: Vec<u64> = m.counters().iter().map(|c| c.barriers).collect();
+        assert_eq!(barriers, vec![0, 1, 0]);
+    }
 
     #[test]
     fn lock_fifo_handover() {

@@ -37,10 +37,9 @@
 use std::collections::BTreeSet;
 
 use ssm_engine::Cycles;
-use ssm_proto::machine::Activity;
 use ssm_proto::{
-    BarrierId, BarrierTable, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, WorldShape,
-    PAGE_SIZE,
+    BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom, SyncManager,
+    WorldShape, PAGE_SIZE,
 };
 
 /// Bytes of a one-sided command descriptor (remote address + length +
@@ -126,9 +125,7 @@ pub struct Rdma {
     /// live write set at grant time, so early flushes simply shrink the
     /// transfer.
     deferred: Vec<Option<(usize, BTreeSet<u64>)>>,
-    locks: LockTable,
-    barriers: BarrierTable,
-    arrivals: Vec<Vec<(usize, Cycles)>>,
+    sync: SyncManager,
 }
 
 impl Rdma {
@@ -154,9 +151,7 @@ impl Rdma {
             write_set: Vec::new(),
             held: Vec::new(),
             deferred: Vec::new(),
-            locks: LockTable::new(0),
-            barriers: BarrierTable::new(0, 1),
-            arrivals: Vec::new(),
+            sync: SyncManager::default(),
         }
     }
 
@@ -185,7 +180,7 @@ impl Rdma {
 
     /// Direct access to the lock table (test setup hook).
     pub fn lock_table_mut(&mut self) -> &mut LockTable {
-        &mut self.locks
+        self.sync.locks_mut()
     }
 
     /// Local state of `block` at `node` (inspection hook).
@@ -210,14 +205,6 @@ impl Rdma {
         // A block's home is the home of its page, so data placement matches
         // HLRC/SC exactly and protocol comparisons see the same distribution.
         self.homes.home(b * self.block / PAGE_SIZE, toucher)
-    }
-
-    fn lock_home(&self, lock: LockId) -> usize {
-        lock.0 as usize % self.nprocs
-    }
-
-    fn barrier_home(&self, barrier: BarrierId) -> usize {
-        barrier.0 as usize % self.nprocs
     }
 
     /// One-sided fetch of block `b` into `p` (read miss / write-allocate):
@@ -289,13 +276,12 @@ impl Rdma {
         (t_issue, done)
     }
 
-    /// Flushes every dirty block of `p` (release-consistency release /
-    /// barrier). Returns when all flushes are applied and acknowledged.
-    fn flush_all(&mut self, m: &mut Machine, p: usize, t: Cycles) -> Cycles {
-        let dirty: Vec<u64> = std::mem::take(&mut self.write_set[p]).into_iter().collect();
-        let mut local = t;
-        let mut done = t;
-        for b in dirty {
+    /// Flushes `blocks` out of `p`'s write set (a release-consistency
+    /// release). Returns when all flushes are applied and acknowledged.
+    fn flush(&mut self, m: &mut Machine, p: usize, blocks: Vec<u64>, t: Cycles) -> Cycles {
+        let (mut local, mut done) = (t, t);
+        for b in blocks {
+            self.write_set[p].remove(&b);
             let (l, d) = self.flush_block(m, p, b, local);
             local = l;
             done = done.max(d);
@@ -321,13 +307,8 @@ impl Rdma {
     /// lock, the manager's grant triggers the releaser's NI to push them
     /// (plus write notices) straight to `w`. Returns `w`'s completion.
     fn grant(&mut self, m: &mut Machine, lock: LockId, w: usize, t_mgr: Cycles) -> Cycles {
-        let mgr = self.lock_home(lock);
-        let t_ctrl = if mgr == w {
-            t_mgr
-        } else {
-            let (_, arr) = m.send_from_handler(mgr, t_mgr, w, CTRL_BYTES);
-            m.handle_request(w, arr, 0)
-        };
+        let mgr = self.sync.lock_home(lock);
+        let t_ctrl = self.sync.grant(m, lock, w, t_mgr);
         let Some((owner, blocks)) = self.deferred[lock.0 as usize].clone() else {
             return t_ctrl;
         };
@@ -393,6 +374,54 @@ impl Rdma {
         };
         t_ctrl.max(installed)
     }
+
+    /// The consistency half of `p` releasing `lock` at `t`: lines written
+    /// under the lock defer their flush to the lock's next holder, every
+    /// other dirty line flushes now. Returns when the flushes are done.
+    /// Write-through leaves nothing dirty, so there this returns `t`.
+    fn release_lock(&mut self, m: &mut Machine, p: usize, lock: LockId, t: Cycles) -> Cycles {
+        // Pop this lock's protected set off p's held stack.
+        let protected = match self.held[p].iter().rposition(|(l, _)| *l == lock) {
+            Some(i) => self.held[p].remove(i).1,
+            None => BTreeSet::new(),
+        };
+        // Lines written under this lock defer their flush: ownership
+        // rides with the lock to the next acquirer instead (unless
+        // the set overflowed the handoff cap).
+        let deferrable: BTreeSet<u64> = if protected.len() <= MAX_PROTECTED {
+            protected
+                .iter()
+                .copied()
+                .filter(|b| self.write_set[p].contains(b))
+                .collect()
+        } else {
+            BTreeSet::new()
+        };
+        // Lines protected by locks p still holds defer to *their*
+        // releases; everything else dirty flushes now.
+        let still_protected: BTreeSet<u64> = self.held[p]
+            .iter()
+            .flat_map(|(_, s)| s.iter().copied())
+            .collect();
+        let flush_now: Vec<u64> = self.write_set[p]
+            .iter()
+            .copied()
+            .filter(|b| !deferrable.contains(b) && !still_protected.contains(b))
+            .collect();
+        let done = self.flush(m, p, flush_now, t);
+        if !deferrable.is_empty() {
+            // Merge with an earlier deferral of ours that was never
+            // claimed (reacquire-and-release of our own lock).
+            let mut blocks = deferrable;
+            if let Some((o, prior)) = self.deferred[lock.0 as usize].take() {
+                if o == p {
+                    blocks.extend(prior);
+                }
+            }
+            self.deferred[lock.0 as usize] = Some((p, blocks));
+        }
+        done
+    }
 }
 
 impl Protocol for Rdma {
@@ -417,9 +446,7 @@ impl Protocol for Rdma {
         self.write_set = vec![BTreeSet::new(); self.nprocs];
         self.held = vec![Vec::new(); self.nprocs];
         self.deferred = vec![None; shape.nlocks];
-        self.locks = LockTable::new(shape.nlocks);
-        self.barriers = BarrierTable::new(shape.nbarriers, self.nprocs);
-        self.arrivals = vec![Vec::new(); shape.nbarriers];
+        self.sync = SyncManager::new(self.nprocs, shape, CTRL_BYTES);
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
@@ -497,86 +524,16 @@ impl Protocol for Rdma {
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
-        m.counters_mut(p).lock_acquires += 1;
-        let now = m.clock[p];
-        let mgr = self.lock_home(lock);
-        let t_mgr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        if self.locks.acquire(lock, p) {
-            self.held[p].push((lock, BTreeSet::new()));
-            Some(self.grant(m, lock, p, t_mgr))
-        } else {
-            None
-        }
+        let t_mgr = self.sync.request(m, p, lock)?;
+        self.held[p].push((lock, BTreeSet::new()));
+        Some(self.grant(m, lock, p, t_mgr))
     }
 
     fn unlock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Cycles {
         let now = m.clock[p];
-        // Pop this lock's protected set off p's held stack.
-        let protected = match self.held[p].iter().rposition(|(l, _)| *l == lock) {
-            Some(i) => self.held[p].remove(i).1,
-            None => BTreeSet::new(),
-        };
-        let now = if self.mode == RdmaMode::WriteBack {
-            // Lines written under this lock defer their flush: ownership
-            // rides with the lock to the next acquirer instead (unless
-            // the set overflowed the handoff cap).
-            let deferrable: BTreeSet<u64> = if protected.len() <= MAX_PROTECTED {
-                protected
-                    .iter()
-                    .copied()
-                    .filter(|b| self.write_set[p].contains(b))
-                    .collect()
-            } else {
-                BTreeSet::new()
-            };
-            // Lines protected by locks p still holds defer to *their*
-            // releases; everything else dirty flushes now.
-            let still_protected: BTreeSet<u64> = self.held[p]
-                .iter()
-                .flat_map(|(_, s)| s.iter().copied())
-                .collect();
-            let flush_now: Vec<u64> = self.write_set[p]
-                .iter()
-                .copied()
-                .filter(|b| !deferrable.contains(b) && !still_protected.contains(b))
-                .collect();
-            let mut local = now;
-            let mut done = now;
-            for b in flush_now {
-                self.write_set[p].remove(&b);
-                let (l, d) = self.flush_block(m, p, b, local);
-                local = l;
-                done = done.max(d);
-            }
-            if !deferrable.is_empty() {
-                // Merge with an earlier deferral of ours that was never
-                // claimed (reacquire-and-release of our own lock).
-                let mut blocks = deferrable;
-                if let Some((o, prior)) = self.deferred[lock.0 as usize].take() {
-                    if o == p {
-                        blocks.extend(prior);
-                    }
-                }
-                self.deferred[lock.0 as usize] = Some((p, blocks));
-            }
-            local.max(done)
-        } else {
-            now
-        };
-        let mgr = self.lock_home(lock);
-        let (t_local, t_mgr) = if mgr == p {
-            let t = m.proto_work(p, now, m.costs().handler_base, Activity::Handler);
-            (t, t)
-        } else {
-            let (local, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            (local, m.handle_request(mgr, arr, 0))
-        };
-        if let Some(next) = self.locks.release(lock, p) {
+        let t = self.release_lock(m, p, lock, now);
+        let (t_local, next) = self.sync.release(m, p, lock, t, SendFrom::App);
+        if let Some((next, t_mgr)) = next {
             self.held[next].push((lock, BTreeSet::new()));
             let granted = self.grant(m, lock, next, t_mgr);
             m.wake(next, granted);
@@ -587,42 +544,13 @@ impl Protocol for Rdma {
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
         let now = m.clock[p];
         // A barrier is a release of everything: protected sets included.
-        let now = if self.mode == RdmaMode::WriteBack {
-            for (_, s) in self.held[p].iter_mut() {
-                s.clear();
-            }
-            self.flush_all(m, p, now)
-        } else {
-            now
-        };
-        let mgr = self.barrier_home(barrier);
-        let t_arr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        self.arrivals[barrier.0 as usize].push((p, t_arr));
-        self.barriers.arrive(barrier, p)?;
-        let episode = std::mem::take(&mut self.arrivals[barrier.0 as usize]);
-        let mut t_mgr = episode.iter().map(|&(_, t)| t).max().unwrap_or(t_arr);
-        let mut my_completion = t_mgr;
-        for &(q, _) in &episode {
-            let t_q = if q == mgr {
-                t_mgr
-            } else {
-                let (local, arr) = m.send_from_handler(mgr, t_mgr, q, CTRL_BYTES);
-                t_mgr = local;
-                m.handle_request(q, arr, 0)
-            };
-            if q == p {
-                my_completion = t_q;
-            } else {
-                m.wake(q, t_q);
-            }
+        for (_, s) in self.held[p].iter_mut() {
+            s.clear();
         }
-        m.counters_mut(p).barriers += 1;
-        Some(my_completion)
+        let dirty = self.write_set[p].iter().copied().collect();
+        let t = self.flush(m, p, dirty, now);
+        let episode = self.sync.arrive(m, p, barrier, t)?;
+        Some(self.sync.release_all(m, p, episode))
     }
 }
 

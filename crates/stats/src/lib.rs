@@ -250,7 +250,8 @@ pub struct Counters {
     /// Injected faults observed on this node's sends: transient NI stalls.
     pub faults_stalled: u64,
     /// Baton handoffs: engine-thread resumes performed by the driver. Each
-    /// one costs two host OS context switches, making this the primary
+    /// one is a coroutine switch pair on x86_64 Linux (two OS context
+    /// switches on the OS-thread backend), making this the primary
     /// host-side cost metric (deterministic, unlike wall clock).
     pub handoffs: u64,
     /// Simulated operations processed by the driver (compute blocks,

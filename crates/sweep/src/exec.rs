@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use ssm_apps::catalog;
 use ssm_core::{FaultSpec, Protocol, SimBuilder};
-use ssm_engine::{WorkerSet, WORKER_THREAD_PREFIX};
+use ssm_engine::{panic_text, WorkerSet, WORKER_THREAD_PREFIX};
 
 use crate::cell::Cell;
 use crate::json::Json;
@@ -330,16 +330,6 @@ fn install_panic_filter() {
     });
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Runs one cell on a leased worker thread, enforcing the wall-time
 /// limit. Returns the status (never panics).
 fn execute_with_limits(cell: &Cell, workers: &WorkerSet, opts: &SweepOpts) -> CellStatus {
@@ -394,7 +384,7 @@ fn run_guarded(
     workers.submit(Box::new(move || {
         let out = match catch_unwind(AssertUnwindSafe(work)) {
             Ok(r) => r,
-            Err(payload) => Err(panic_message(payload)),
+            Err(payload) => Err(panic_text(&*payload)),
         };
         Box::new(move || {
             let _ = tx.send(out);
