@@ -45,28 +45,6 @@ use ssm_stats::Bucket;
 
 use crate::result::RunResult;
 
-/// Host-side engine knobs. None of them affect simulated results — they
-/// trade baton handoffs and execution-context setup for bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct EngineOptions {
-    /// Recycle application-thread stacks (OS threads off x86_64 Linux)
-    /// from this set instead of creating them per run.
-    pub workers: Option<WorkerSet>,
-    /// Accumulate hint-predicted-local operations into one baton handoff
-    /// per run (see [`ssm_proto::vm`] module docs). On by default.
-    pub batching: Batching,
-}
-
-/// Whether operation batching is enabled (newtype so the default is *on*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Batching(pub bool);
-
-impl Default for Batching {
-    fn default() -> Self {
-        Batching(true)
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PState {
     Ready,
@@ -78,40 +56,29 @@ enum PState {
     Done,
 }
 
-/// Runs `workload` with default [`EngineOptions`] (batching on, private
-/// thread pool). See [`run_simulation_with`].
-pub fn run_simulation(
-    protocol: &mut dyn ProtocolTrait,
-    workload: &dyn Workload,
-    nprocs: usize,
-    machine: Machine,
-) -> RunResult {
-    run_simulation_with(
-        protocol,
-        workload,
-        nprocs,
-        machine,
-        &EngineOptions::default(),
-    )
-}
-
-/// Runs `workload` on `nprocs` simulated processors under `protocol`,
-/// against an already-built [`Machine`]. Returns the measured result.
+/// Runs `workload` under `protocol` on every processor of an
+/// already-built [`Machine`] and returns the measured result.
+///
+/// `workers` recycles application-thread stacks (OS threads off x86_64
+/// Linux) from a shared set instead of creating them per run; `batching`
+/// accumulates hint-predicted-local operations into one baton handoff per
+/// run (see [`ssm_proto::vm`]). Neither affects simulated results.
 ///
 /// # Panics
 ///
-/// * if the workload does not return exactly `nprocs` thread bodies,
+/// * if the workload does not return exactly one thread body per
+///   processor,
 /// * on deadlock (every unfinished processor blocked — e.g. a barrier that
 ///   not all processors reach),
 /// * if an application thread panics.
-pub fn run_simulation_with(
+pub fn run_simulation(
     protocol: &mut dyn ProtocolTrait,
     workload: &dyn Workload,
-    nprocs: usize,
     mut machine: Machine,
-    opts: &EngineOptions,
+    workers: Option<WorkerSet>,
+    batching: bool,
 ) -> RunResult {
-    assert_eq!(machine.nprocs(), nprocs, "machine size must match nprocs");
+    let nprocs = machine.nprocs();
     let mut world = World::new(workload.mem_bytes());
     let bodies = workload.spawn(&mut world, nprocs);
     assert_eq!(
@@ -126,7 +93,7 @@ pub fn run_simulation_with(
     };
     protocol.init(&machine, &shape);
 
-    let board = if opts.batching.0 {
+    let board = if batching {
         let board = Arc::new(HintBoard::new(nprocs));
         machine.set_hint_board(board.clone());
         Some(board)
@@ -134,8 +101,8 @@ pub fn run_simulation_with(
         None
     };
 
-    let mut pool: ThreadPool<Op> = match &opts.workers {
-        Some(ws) => ThreadPool::with_workers(ws.clone()),
+    let mut pool: ThreadPool<Op> = match workers {
+        Some(ws) => ThreadPool::with_workers(ws),
         None => ThreadPool::new(),
     };
     for (pid, body) in bodies.into_iter().enumerate() {

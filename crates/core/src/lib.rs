@@ -45,7 +45,7 @@ pub mod driver;
 pub mod result;
 
 pub use config::{CommPreset, FaultSpec, LayerConfig, ProtoPreset, Protocol};
-pub use driver::{run_simulation, run_simulation_with, EngineOptions};
+pub use driver::run_simulation;
 pub use result::RunResult;
 
 use ssm_hlrc::Hlrc;
@@ -201,38 +201,23 @@ impl SimBuilder {
                 self.faults.seed,
             ));
         }
-        let opts = EngineOptions {
-            workers: self.workers.clone(),
-            batching: driver::Batching(self.batching),
+        let mut protocol: Box<dyn ssm_proto::Protocol> = match self.protocol {
+            Protocol::Hlrc => Box::new(Hlrc::new().with_homes(self.homes)),
+            Protocol::Aurc => Box::new(Hlrc::aurc().with_homes(self.homes)),
+            Protocol::Sc => Box::new(Sc::new(self.sc_block).with_homes(self.homes)),
+            Protocol::ScDelayed => Box::new(Sc::delayed(self.sc_block).with_homes(self.homes)),
+            // The one-sided protocol shares the SC granularity knob: its
+            // line size is the application's best block size.
+            Protocol::Rdma => Box::new(Rdma::new(self.sc_block).with_homes(self.homes)),
+            Protocol::Ideal => Box::new(ssm_proto::Ideal::new()),
         };
-        match self.protocol {
-            Protocol::Hlrc => {
-                let mut p = Hlrc::new().with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Aurc => {
-                let mut p = Hlrc::aurc().with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Sc => {
-                let mut p = Sc::new(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::ScDelayed => {
-                let mut p = Sc::delayed(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Rdma => {
-                // The one-sided protocol shares the SC granularity knob:
-                // its line size is the application's best block size.
-                let mut p = Rdma::new(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Ideal => {
-                let mut p = ssm_proto::Ideal::new();
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-        }
+        run_simulation(
+            protocol.as_mut(),
+            workload,
+            machine,
+            self.workers.clone(),
+            self.batching,
+        )
     }
 }
 

@@ -162,11 +162,6 @@ impl NodePages {
         debug_assert!(!self.twins.contains_key(&page), "invalidate with live twin");
         self.state[page as usize] = PageState::Invalid;
     }
-
-    /// Number of pages currently twinned.
-    pub fn twin_count(&self) -> usize {
-        self.twins.len()
-    }
 }
 
 #[cfg(test)]

@@ -417,22 +417,6 @@ impl Machine {
         }
     }
 
-    /// Cache statistics for node `p`.
-    pub fn mem_stats(&self, p: usize) -> ssm_mem::MemStats {
-        self.hier[p].stats()
-    }
-
-    /// Network statistics for node `p`.
-    pub fn net_stats(&self, p: usize) -> ssm_net::NiStats {
-        self.net.stats(p)
-    }
-
-    /// Total cycles node `p`'s CPU was occupied (app + protocol), for
-    /// utilization diagnostics.
-    pub fn cpu_busy(&self, p: usize) -> Cycles {
-        self.cpu[p].busy_cycles()
-    }
-
     /// Sends a message from an *application-initiated* transaction on `src`
     /// (e.g. a fault request): occupies the CPU for the host overhead
     /// without charging a bucket (the window rule attributes it to the

@@ -162,11 +162,6 @@ impl Rdma {
         r
     }
 
-    /// The configured line size in bytes.
-    pub fn block_size(&self) -> u64 {
-        self.block
-    }
-
     /// The write policy in force.
     pub fn mode(&self) -> RdmaMode {
         self.mode

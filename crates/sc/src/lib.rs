@@ -139,11 +139,6 @@ impl Sc {
         }
     }
 
-    /// The configured block size in bytes.
-    pub fn block_size(&self) -> u64 {
-        self.block
-    }
-
     /// Selects the page-to-home placement policy (before `init`).
     pub fn with_homes(mut self, policy: HomePolicy) -> Self {
         self.home_policy = policy;

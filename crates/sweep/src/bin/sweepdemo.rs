@@ -19,7 +19,7 @@ fn main() {
     let cli = SweepCli::parse();
 
     if let Ok(marker) = std::env::var("SSM_SWEEPDEMO_FAIL_ONCE") {
-        let first_shard = cli.worker && cli.shard.map(|s| s.index) == Some(0);
+        let first_shard = matches!(cli.mode, Mode::Worker(s) if s.index == 0);
         if first_shard && !std::path::Path::new(&marker).exists() {
             std::fs::write(&marker, b"failed once\n").expect("write fail-once marker");
             eprintln!("[sweepdemo] injected worker failure (fail-once hook)");

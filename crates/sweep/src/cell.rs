@@ -100,7 +100,7 @@ impl CommSpec {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         if let Some(s) = v.as_str() {
-            return Ok(CommSpec::Preset(comm_preset_from_label(s)?));
+            return Ok(CommSpec::Preset(CommPreset::from_label(s)?));
         }
         let int = |key: &str| {
             v.get(key)
@@ -353,9 +353,9 @@ impl Cell {
         };
         Ok(Cell {
             app: str_field("app")?.to_string(),
-            protocol: protocol_from_label(str_field("protocol")?)?,
+            protocol: Protocol::from_label(str_field("protocol")?)?,
             comm: CommSpec::from_json(v.get("comm").ok_or("cell missing comm")?)?,
-            proto: proto_preset_from_label(str_field("proto")?)?,
+            proto: ProtoPreset::from_label(str_field("proto")?)?,
             procs: v
                 .get("procs")
                 .and_then(Json::as_u64)
@@ -390,18 +390,6 @@ pub fn scale_from_label(s: &str) -> Result<Scale, String> {
         "full" => Ok(Scale::Full),
         other => Err(format!("unknown scale {other:?} (test|bench|full)")),
     }
-}
-
-fn protocol_from_label(s: &str) -> Result<Protocol, String> {
-    Protocol::from_label(s)
-}
-
-fn comm_preset_from_label(s: &str) -> Result<CommPreset, String> {
-    CommPreset::from_label(s)
-}
-
-fn proto_preset_from_label(s: &str) -> Result<ProtoPreset, String> {
-    ProtoPreset::from_label(s)
 }
 
 fn homes_label(h: HomePolicy) -> &'static str {

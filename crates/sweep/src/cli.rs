@@ -10,7 +10,8 @@
 //! * `--no-batching` — one baton handoff per simulated operation (the
 //!   pre-batching engine behavior; results are byte-identical, only the
 //!   host-side handoff counters and wall time change);
-//! * `--timeout SECS` — per-cell wall-time limit (default: none);
+//! * `--timeout SECS` — per-cell wall-time limit, a positive number of
+//!   seconds (default: none);
 //! * `--retries N` — rerun panicked/timed-out cells up to N extra times
 //!   (default 0);
 //! * `--results DIR` — results directory (default `results/`);
@@ -33,6 +34,7 @@ use std::time::Duration;
 
 use ssm_apps::catalog::{suite, AppSpec, Scale};
 
+use crate::builder::Mode;
 use crate::cell::{scale_from_label, scale_label};
 use crate::exec::SweepOpts;
 use crate::shard::ShardSpec;
@@ -52,28 +54,12 @@ pub struct SweepCli {
     pub scale: Scale,
     /// Substring filter on application names (empty = all).
     pub filter: String,
-    /// Host worker threads.
-    pub jobs: usize,
-    /// Skip the on-disk cache.
-    pub no_cache: bool,
-    /// Disable batched baton handoffs (diagnostic; results identical).
-    pub no_batching: bool,
-    /// Per-cell wall-time limit, seconds.
-    pub timeout_secs: Option<u64>,
-    /// Extra attempts for panicked/timed-out cells.
-    pub retries: u32,
-    /// Results directory.
-    pub results_dir: PathBuf,
-    /// Suppress stderr progress.
-    pub quiet: bool,
-    /// Coordinator mode: number of worker subprocesses to shard over.
-    pub shards: Option<usize>,
-    /// Restrict to one shard of the cell partition.
-    pub shard: Option<ShardSpec>,
-    /// Worker mode: run the shard slice into `--results`, then exit.
-    pub worker: bool,
-    /// Worker relaunches for shards that come back incomplete.
-    pub shard_retries: u32,
+    /// Executor options: `--jobs`, `--no-cache`, `--no-batching`,
+    /// `--timeout`, `--retries`, `--results` and `--quiet`.
+    pub opts: SweepOpts,
+    /// Execution mode: `--shards`, `--shard`, `--worker` and
+    /// `--shard-retries`.
+    pub mode: Mode,
 }
 
 impl Default for SweepCli {
@@ -82,17 +68,8 @@ impl Default for SweepCli {
             procs: 16,
             scale: Scale::Bench,
             filter: String::new(),
-            jobs: std::thread::available_parallelism().map_or(1, usize::from),
-            no_cache: false,
-            no_batching: false,
-            timeout_secs: None,
-            retries: 0,
-            results_dir: PathBuf::from("results"),
-            quiet: false,
-            shards: None,
-            shard: None,
-            worker: false,
-            shard_retries: 2,
+            opts: SweepOpts::default(),
+            mode: Mode::default(),
         }
     }
 }
@@ -115,6 +92,7 @@ impl SweepCli {
     /// with status 2.
     pub fn parse_with(mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>)) -> Self {
         let mut cli = SweepCli::default();
+        let (mut shards, mut shard, mut worker, mut shard_retries) = (None, None, false, 2);
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -135,34 +113,35 @@ impl SweepCli {
                     cli.filter = args.next().unwrap_or_else(|| die("--app needs a name"));
                 }
                 "--jobs" => {
-                    cli.jobs = args
+                    cli.opts.jobs = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&n: &usize| n > 0)
                         .unwrap_or_else(|| die("--jobs needs a positive number"));
                 }
-                "--no-cache" => cli.no_cache = true,
-                "--no-batching" => cli.no_batching = true,
+                "--no-cache" => cli.opts.cache = false,
+                "--no-batching" => cli.opts.batching = false,
                 "--timeout" => {
-                    cli.timeout_secs = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--timeout needs seconds")),
-                    );
+                    let secs = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n: &u64| n > 0)
+                        .unwrap_or_else(|| die("--timeout needs a positive number of seconds"));
+                    cli.opts.timeout = Some(Duration::from_secs(secs));
                 }
                 "--retries" => {
-                    cli.retries = args
+                    cli.opts.retries = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--retries needs a number"));
                 }
                 "--results" => {
-                    cli.results_dir =
+                    cli.opts.results_dir =
                         PathBuf::from(args.next().unwrap_or_else(|| die("--results needs a dir")));
                 }
-                "--quiet" => cli.quiet = true,
+                "--quiet" => cli.opts.progress = false,
                 "--shards" => {
-                    cli.shards = Some(
+                    shards = Some(
                         args.next()
                             .and_then(|v| v.parse().ok())
                             .filter(|&n: &usize| n > 0)
@@ -171,13 +150,13 @@ impl SweepCli {
                 }
                 "--shard" => {
                     let v = args.next().unwrap_or_else(|| die("--shard needs i/N"));
-                    cli.shard = Some(
+                    shard = Some(
                         ShardSpec::parse(&v).unwrap_or_else(|e| die(&format!("--shard: {e}"))),
                     );
                 }
-                "--worker" => cli.worker = true,
+                "--worker" => worker = true,
                 "--shard-retries" => {
-                    cli.shard_retries = args
+                    shard_retries = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--shard-retries needs a number"));
@@ -185,15 +164,21 @@ impl SweepCli {
                 other => extra(other, &mut args),
             }
         }
-        if cli.worker && cli.shard.is_none() {
-            die("--worker requires --shard i/N");
-        }
-        if cli.shards.is_some() && (cli.shard.is_some() || cli.worker) {
-            die("--shards (coordinator mode) conflicts with --shard/--worker");
-        }
-        if cli.shards.is_some() && cli.no_cache {
-            die("--shards needs the cache to collect worker results; drop --no-cache");
-        }
+        cli.mode = match (shards, shard, worker) {
+            (_, None, true) => die("--worker requires --shard i/N"),
+            (Some(_), Some(_), _) => {
+                die("--shards (coordinator mode) conflicts with --shard/--worker")
+            }
+            (Some(_), None, false) if !cli.opts.cache => {
+                die("--shards needs the cache to collect worker results; drop --no-cache")
+            }
+            (Some(shards), None, false) => Mode::Coordinator {
+                shards,
+                retries: shard_retries,
+            },
+            (None, Some(spec), true) => Mode::Worker(spec),
+            (None, shard, false) => Mode::Local(shard),
+        };
         cli
     }
 
@@ -212,20 +197,6 @@ impl SweepCli {
             .into_iter()
             .filter(|a| self.filter.is_empty() || a.name.contains(&self.filter))
             .collect()
-    }
-
-    /// Executor options for this invocation.
-    pub(crate) fn sweep_opts(&self) -> SweepOpts {
-        SweepOpts {
-            jobs: self.jobs,
-            cache: !self.no_cache,
-            results_dir: self.results_dir.clone(),
-            timeout: self.timeout_secs.map(Duration::from_secs),
-            retries: self.retries,
-            progress: !self.quiet,
-            summary: true,
-            batching: !self.no_batching,
-        }
     }
 
     /// One-line run description for table headers.
@@ -247,8 +218,9 @@ mod tests {
         let cli = SweepCli::default();
         assert_eq!(cli.procs, 16);
         assert_eq!(cli.scale, Scale::Bench);
-        assert!(cli.jobs >= 1);
-        assert!(!cli.no_cache);
+        assert!(cli.opts.jobs >= 1);
+        assert!(cli.opts.cache);
+        assert_eq!(cli.mode, Mode::Local(None));
     }
 
     #[test]
@@ -258,24 +230,5 @@ mod tests {
         let apps = cli.apps();
         assert_eq!(apps.len(), 2);
         assert!(apps.iter().all(|a| a.name.contains("Water")));
-    }
-
-    #[test]
-    fn opts_reflect_flags() {
-        let mut cli = SweepCli::fixed(4, Scale::Test);
-        cli.jobs = 3;
-        cli.no_cache = true;
-        cli.timeout_secs = Some(7);
-        cli.retries = 2;
-        cli.quiet = true;
-        let opts = cli.sweep_opts();
-        assert_eq!(opts.jobs, 3);
-        assert!(!opts.cache);
-        assert_eq!(opts.timeout, Some(Duration::from_secs(7)));
-        assert_eq!(opts.retries, 2);
-        assert!(!opts.progress);
-        assert!(opts.batching, "batching defaults on");
-        cli.no_batching = true;
-        assert!(!cli.sweep_opts().batching);
     }
 }

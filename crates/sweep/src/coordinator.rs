@@ -116,7 +116,6 @@ pub(crate) fn run_coordinator(
     opts: &SweepOpts,
     shards: usize,
     shard_retries: u32,
-    worker_cmd: Option<(PathBuf, Vec<String>)>,
 ) -> SweepRun {
     assert!(opts.cache, "the shard coordinator requires the cache");
     let started = Instant::now();
@@ -162,12 +161,8 @@ pub(crate) fn run_coordinator(
         }
     }
 
-    let (exe, base_args) = worker_cmd.unwrap_or_else(|| {
-        (
-            std::env::current_exe().unwrap_or_else(|e| fatal(&format!("current_exe: {e}"))),
-            forwarded_args(),
-        )
-    });
+    let exe = std::env::current_exe().unwrap_or_else(|e| fatal(&format!("current_exe: {e}")));
+    let base_args = forwarded_args();
 
     let mut pending: Vec<usize> = specs
         .iter()

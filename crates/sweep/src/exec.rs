@@ -3,7 +3,8 @@
 //! Cells are embarrassingly parallel: each simulation is single-threaded
 //! under the engine's baton, shares no mutable state with its neighbours,
 //! and is deterministic. The executor therefore fans unique, uncached
-//! cells out over a work-stealing pool of OS threads (std only), with:
+//! cells out over a pool of OS threads (std only) that pull from one
+//! shared cursor, with:
 //!
 //! * **panic capture** — a diverging application/configuration reports as
 //!   a failed cell instead of killing the sweep (the global panic hook is
@@ -19,7 +20,6 @@
 //!   ETA).
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -265,14 +265,10 @@ impl SweepRun {
 }
 
 /// Builds and runs the simulation for one cell. Panics propagate to the
-/// caller (the executor turns them into failed cells).
-pub fn execute(cell: &Cell) -> Result<CellRecord, String> {
-    execute_with(cell, None, true)
-}
-
-/// [`execute`] with the sweep's engine knobs: an optional shared
-/// [`WorkerSet`] to recycle execution contexts across cells, and the batching
-/// toggle. Neither affects simulated results.
+/// caller (the executor turns them into failed cells). `workers` is an
+/// optional shared [`WorkerSet`] to recycle execution contexts across
+/// cells, `batching` the engine's handoff batching; neither affects
+/// simulated results.
 pub fn execute_with(
     cell: &Cell,
     workers: Option<&WorkerSet>,
@@ -330,17 +326,6 @@ fn install_panic_filter() {
     });
 }
 
-/// Runs one cell on a leased worker thread, enforcing the wall-time
-/// limit. Returns the status (never panics).
-fn execute_with_limits(cell: &Cell, workers: &WorkerSet, opts: &SweepOpts) -> CellStatus {
-    let c = cell.clone();
-    let ws = workers.clone();
-    let batching = opts.batching;
-    run_guarded(workers, opts.timeout, move || {
-        execute_with(&c, Some(&ws), batching)
-    })
-}
-
 /// Runs one cell, re-running a panicked or timed-out attempt up to
 /// `retries` extra times. Returns the final status, the number of attempts
 /// made, and how many timed-out attempts left a detached simulation behind
@@ -354,7 +339,10 @@ fn execute_with_retries(
     let mut abandoned = 0usize;
     loop {
         attempts += 1;
-        let status = execute_with_limits(cell, workers, opts);
+        let (c, ws, batching) = (cell.clone(), workers.clone(), opts.batching);
+        let status = run_guarded(workers, opts.timeout, move || {
+            execute_with(&c, Some(&ws), batching)
+        });
         if matches!(status, CellStatus::TimedOut(_)) {
             abandoned += 1;
         }
@@ -365,8 +353,9 @@ fn execute_with_retries(
 }
 
 /// The guard around one cell execution: a leased worker thread, panic
-/// capture, and the wall-time limit. Split from [`execute_with_limits`] so
-/// the guard itself is testable with arbitrary workloads.
+/// capture, and the wall-time limit. Returns the status (never panics).
+/// Takes the work as a closure so the guard itself is testable with
+/// arbitrary workloads.
 ///
 /// The result is delivered by the worker's *completion* closure, which
 /// runs only after the worker has re-registered itself as idle — so by
@@ -529,13 +518,11 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
         );
     }
 
-    // Work-stealing deques: cells are dealt round-robin; a worker pops its
-    // own deque from the front and steals from the back of others'.
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &i) in misses.iter().enumerate() {
-        deques[k % jobs].lock().expect("deque").push_back(i);
-    }
+    // Workers claim misses in enumeration order through one shared cursor,
+    // so none idles while an unstarted cell remains. `fetch_add` hands each
+    // index out exactly once under any ordering, and the cursor publishes
+    // no data (results go through the mutex), so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
 
     // State shared by the workers: per-cell status slots, the open cache,
     // and progress accounting. One lock, taken once per finished cell.
@@ -557,7 +544,7 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
         },
     ));
     let unique_ref = &unique;
-    let deques_ref = &deques;
+    let (misses, cursor) = (&misses, &cursor);
     let shared = &shared_results;
 
     // One worker set per sweep: the per-cell guard jobs lease OS threads
@@ -569,39 +556,32 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
     let workers_ref = &workers;
 
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            scope.spawn(move || loop {
-                let next = {
-                    let mut own = deques_ref[w].lock().expect("deque");
-                    own.pop_front()
-                };
-                let next = next.or_else(|| {
-                    (1..jobs)
-                        .find_map(|d| deques_ref[(w + d) % jobs].lock().expect("deque").pop_back())
-                });
-                let Some(i) = next else { break };
-                let (cell, _) = &unique_ref[i];
-                let (mut status, attempts, abandoned) =
-                    execute_with_retries(cell, workers_ref, opts);
-                if let CellStatus::Done(rec) = &mut status {
-                    rec.attempts = attempts;
-                }
-                let mut guard = shared.lock().expect("results");
-                let (results, store, progress) = &mut *guard;
-                if let CellStatus::Done(rec) = &status {
-                    if let Some(s) = store.as_mut() {
-                        if let Err(e) = s.append(rec.clone()) {
-                            eprintln!("[ssm-sweep] warning: cache append failed: {e}");
-                        }
+        for _ in 0..jobs {
+            scope.spawn(move || {
+                while let Some(&i) = misses.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let (cell, _) = &unique_ref[i];
+                    let (mut status, attempts, abandoned) =
+                        execute_with_retries(cell, workers_ref, opts);
+                    if let CellStatus::Done(rec) = &mut status {
+                        rec.attempts = attempts;
                     }
-                } else {
-                    progress.failed += 1;
+                    let mut guard = shared.lock().expect("results");
+                    let (results, store, progress) = &mut *guard;
+                    if let CellStatus::Done(rec) = &status {
+                        if let Some(s) = store.as_mut() {
+                            if let Err(e) = s.append(rec.clone()) {
+                                eprintln!("[ssm-sweep] warning: cache append failed: {e}");
+                            }
+                        }
+                    } else {
+                        progress.failed += 1;
+                    }
+                    progress.abandoned += abandoned;
+                    results[i] = Some((status, attempts));
+                    progress.done += 1;
+                    progress.executed += 1;
+                    progress.report(opts.progress);
                 }
-                progress.abandoned += abandoned;
-                results[i] = Some((status, attempts));
-                progress.done += 1;
-                progress.executed += 1;
-                progress.report(opts.progress);
             });
         }
     });
@@ -791,7 +771,7 @@ mod tests {
             2,
             Scale::Test,
         );
-        let err = execute(&cell).expect_err("unknown app");
+        let err = execute_with(&cell, None, true).expect_err("unknown app");
         assert!(err.contains("No-Such-App"), "{err}");
     }
 }

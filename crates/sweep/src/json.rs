@@ -51,15 +51,6 @@ impl Json {
         }
     }
 
-    /// This value as `f64`, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// This value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

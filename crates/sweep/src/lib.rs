@@ -8,11 +8,13 @@
 //! * [`Cell`] — a content-addressed cell description with a stable hash
 //!   ([`Cell::hash`]), so identical cells are recognized across binaries
 //!   and sessions;
-//! * [`Sweep`] — the builder front door: an in-process work-stealing
-//!   executor (std threads only) with per-cell panic capture, wall-time
-//!   limits, live progress and deterministic result ordering; or, behind
-//!   the same call, a shard **coordinator** that fans the cells out over
-//!   worker subprocesses and merges their caches ([`Sweep::shards`]);
+//! * [`Sweep`] — the builder front door: an in-process executor (std
+//!   threads only) with per-cell panic capture, wall-time limits, live
+//!   progress and deterministic result ordering; or, behind the same
+//!   call, a shard **coordinator** that fans the cells out over worker
+//!   subprocesses and merges their caches;
+//! * [`Mode`] — how a sweep runs: locally (optionally one shard's
+//!   slice), as a worker for one shard, or as the shard coordinator;
 //! * [`ResultStore`] — an append-only JSONL cache under `results/` keyed
 //!   by cell hash, making every sweep resumable and shareable between
 //!   binaries; plus `results/bench_summary.json`, the machine-readable
@@ -52,10 +54,10 @@ pub mod record;
 pub mod shard;
 pub mod store;
 
-pub use builder::Sweep;
+pub use builder::{Mode, Sweep};
 pub use cell::{scale_from_label, scale_label, Cell, CommSpec};
 pub use cli::SweepCli;
-pub use exec::{execute, execute_with, CellOutcome, CellStatus, SweepOpts, SweepRun};
+pub use exec::{execute_with, CellOutcome, CellStatus, SweepOpts, SweepRun};
 pub use json::Json;
 pub use merge::{merge_caches, MergeError, MergeOutcome};
 pub use record::{CellRecord, SCHEMA_VERSION};
@@ -64,7 +66,7 @@ pub use store::{ResultStore, CACHE_FILE, SUMMARY_FILE};
 
 /// Everything a bench binary needs: `use ssm_sweep::prelude::*;`.
 pub mod prelude {
-    pub use crate::builder::Sweep;
+    pub use crate::builder::{Mode, Sweep};
     pub use crate::cell::{Cell, CommSpec};
     pub use crate::cli::SweepCli;
     pub use crate::exec::{CellOutcome, CellStatus, SweepOpts, SweepRun};

@@ -12,7 +12,7 @@
 use ssm_apps::catalog::{by_name, Scale};
 use ssm_core::{LayerConfig, Protocol, SimBuilder};
 use ssm_stats::Bucket;
-use ssm_sweep::{execute, Cell, CellRecord, Json};
+use ssm_sweep::{execute_with, Cell, CellRecord, Json};
 
 const APP: &str = "FFT";
 const PROCS: usize = 4;
@@ -37,7 +37,7 @@ fn points() -> Vec<(Protocol, LayerConfig)> {
     pts
 }
 
-/// Runs the same point directly on the simulator, the way `execute` does.
+/// Runs the same point directly on the simulator, the way `execute_with` does.
 fn direct_run(cell: &Cell) -> ssm_core::RunResult {
     let spec = by_name(&cell.app).expect("known app");
     let w = spec.build(cell.scale);
@@ -55,7 +55,7 @@ fn direct_run(cell: &Cell) -> ssm_core::RunResult {
 fn six_buckets_sum_to_per_processor_totals_for_every_protocol_and_config() {
     for (protocol, cfg) in points() {
         let cell = Cell::new(APP, protocol, cfg, PROCS, Scale::Test);
-        let rec = execute(&cell).expect("cell executes");
+        let rec = execute_with(&cell, None, true).expect("cell executes");
         let r = direct_run(&cell);
         let label = cell.label();
 
@@ -87,7 +87,7 @@ fn six_buckets_sum_to_per_processor_totals_for_every_protocol_and_config() {
 fn records_round_trip_through_cache_lines_unchanged() {
     for (protocol, cfg) in points() {
         let cell = Cell::new(APP, protocol, cfg, PROCS, Scale::Test);
-        let rec = execute(&cell).expect("cell executes");
+        let rec = execute_with(&cell, None, true).expect("cell executes");
         let line = rec.to_json().render();
         assert!(!line.contains('\n'), "cache lines are single-line");
         let back = CellRecord::from_json(&Json::parse(&line).expect("parse")).expect("deserialize");

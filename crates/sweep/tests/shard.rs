@@ -268,3 +268,41 @@ fn hand_launched_workers_compose_with_a_merging_coordinator() {
     assert_eq!(cache_lines(&dir), DEMO_CELLS);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn invalid_mode_and_timeout_flags_exit_2_without_sweeping() {
+    let root = tmpdir("usage");
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--timeout", "0"],
+            "error: --timeout needs a positive number of seconds",
+        ),
+        (&["--worker"], "error: --worker requires --shard i/N"),
+        (
+            &["--shards", "2", "--shard", "0/2"],
+            "error: --shards (coordinator mode) conflicts with --shard/--worker",
+        ),
+        (
+            &["--shards", "2", "--worker", "--shard", "0/2"],
+            "error: --shards (coordinator mode) conflicts with --shard/--worker",
+        ),
+        (
+            &["--shards", "2", "--no-cache"],
+            "error: --shards needs the cache to collect worker results; drop --no-cache",
+        ),
+    ];
+    for (i, (flags, error)) in cases.iter().enumerate() {
+        let dir = root.join(format!("case{i}"));
+        let mut args = flags.to_vec();
+        args.extend(["--results", dir.to_str().unwrap()]);
+        let out = demo(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}:\n{stderr}");
+        assert!(stderr.contains(error), "{flags:?}:\n{stderr}");
+        assert!(
+            !dir.join(CACHE_FILE).exists(),
+            "{flags:?} wrote a cache before rejecting its flags"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
