@@ -87,6 +87,27 @@ impl Radix {
     }
 }
 
+/// Stable sort of `keys` by the digit at `shift`, given `counts[d]`, the
+/// number of keys whose digit is `d`: one counting pass that places each
+/// key after every key of a smaller digit and after the earlier keys of
+/// its own digit.
+fn digit_sort(keys: &[u32], shift: u32, counts: &[u32]) -> Vec<u32> {
+    let mut next = [0usize; R];
+    let mut at = 0usize;
+    for (n, &c) in next.iter_mut().zip(counts) {
+        *n = at;
+        at += c as usize;
+    }
+    assert_eq!(at, keys.len(), "histogram does not match the keys");
+    let mut out = vec![0u32; keys.len()];
+    for &k in keys {
+        let d = ((k >> shift) as usize) & (R - 1);
+        out[next[d]] = k;
+        next[d] += 1;
+    }
+    out
+}
+
 impl Workload for Radix {
     fn name(&self) -> String {
         match self.variant {
@@ -172,14 +193,7 @@ impl Workload for Radix {
                             RadixVariant::Local => {
                                 // 3a: digit-sort my keys into MY buffer
                                 // region (local, coarse, single-writer).
-                                let mut sorted = Vec::with_capacity(mine.len());
-                                for d in 0..R {
-                                    for &k in &mine {
-                                        if ((k >> shift) as usize) & (R - 1) == d {
-                                            sorted.push(k);
-                                        }
-                                    }
-                                }
+                                let sorted = digit_sort(&mine, shift, &counts);
                                 p.compute(mine.len() as u64 * 3 * INT_OP);
                                 write_block(p, &buf, k0, &sorted);
                                 p.barrier(bar);
@@ -259,6 +273,33 @@ impl Workload for Radix {
 mod tests {
     use super::*;
     use ssm_core::{sequential_baseline, Protocol, SimBuilder};
+
+    #[test]
+    fn digit_sort_matches_per_digit_scan() {
+        let mut state = 0x5eed_u64;
+        for len in [0usize, 1, 7, 300, 5000] {
+            let keys: Vec<u32> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 33) as u32
+                })
+                .collect();
+            for shift in [0, DIGIT_BITS] {
+                let digit = |k: u32| ((k >> shift) as usize) & (R - 1);
+                let mut counts = vec![0u32; R];
+                for &k in &keys {
+                    counts[digit(k)] += 1;
+                }
+                let mut want = Vec::with_capacity(len);
+                for d in 0..R {
+                    want.extend(keys.iter().copied().filter(|&k| digit(k) == d));
+                }
+                assert_eq!(digit_sort(&keys, shift, &counts), want, "len {len}");
+            }
+        }
+    }
 
     #[test]
     fn sequential_radix_sorts() {

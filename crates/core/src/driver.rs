@@ -94,7 +94,7 @@ pub fn run_simulation(
     protocol.init(&machine, &shape);
 
     let board = if batching {
-        let board = Arc::new(HintBoard::new(nprocs));
+        let board = Arc::new(HintBoard::new(nprocs, shape.heap_bytes));
         machine.set_hint_board(board.clone());
         Some(board)
     } else {

@@ -150,8 +150,15 @@ impl Pipe {
     /// Moves `bytes` through the pipe starting no earlier than `now`;
     /// returns the completion time. Transfers are FIFO.
     pub fn transfer(&mut self, now: Cycles, bytes: u64) -> Cycles {
+        self.transfer_for(now, bytes, self.latency_of(bytes))
+    }
+
+    /// [`Pipe::transfer`] with the occupancy already computed: `dur` must
+    /// equal `self.latency_of(bytes)`. Callers moving a fixed size many
+    /// times compute the duration once instead of dividing per transfer.
+    pub fn transfer_for(&mut self, now: Cycles, bytes: u64, dur: Cycles) -> Cycles {
+        debug_assert_eq!(dur, self.latency_of(bytes), "stale transfer duration");
         self.bytes_moved += bytes;
-        let dur = self.latency_of(bytes);
         let start = self.busy_until.max(now);
         self.busy_until = start + dur;
         self.busy_cycles += dur;

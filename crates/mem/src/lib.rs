@@ -5,10 +5,12 @@
 //! The hierarchy is *timing-directed*: it never stores data, only tags and
 //! dirty bits, and answers "how many cycles does this access stall the
 //! processor?". Application data lives in the shared store owned by
-//! `ssm-proto`; protocols call [`Hierarchy::touch_range`] to model the cache
-//! pollution caused by twinning/diffing, which the paper simulates
-//! explicitly ("cache pollution due to protocol processing is also
-//! included", §3.1).
+//! `ssm-proto`. Application accesses go through [`Hierarchy::read`],
+//! [`Hierarchy::write`] and, for coarse block copies,
+//! [`Hierarchy::touch_range`]; protocols call [`Hierarchy::stream_range`]
+//! to model the cache pollution caused by twinning/diffing, which the paper
+//! simulates explicitly ("cache pollution due to protocol processing is
+//! also included", §3.1).
 //!
 //! Defaults (see [`MemConfig::pentium_pro_like`]):
 //!
@@ -131,6 +133,11 @@ pub struct Hierarchy {
     l1: Cache,
     l2: Cache,
     bus: Pipe,
+    /// `log2` of the line size (lines are a power of two, as
+    /// [`CacheConfig::sets`] checks).
+    line_shift: u32,
+    /// Bus cycles to move one line (fills and writebacks).
+    line_bus_cycles: Cycles,
     /// Retirement times of in-flight buffered writes.
     wb: VecDeque<Cycles>,
     stats: MemStats,
@@ -139,10 +146,13 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Creates an empty (cold) hierarchy.
     pub fn new(cfg: MemConfig) -> Self {
+        let bus = Pipe::new(cfg.bus_bytes, cfg.bus_cycles);
         Hierarchy {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            bus: Pipe::new(cfg.bus_bytes, cfg.bus_cycles),
+            line_shift: cfg.l2.line.trailing_zeros(),
+            line_bus_cycles: bus.latency_of(cfg.l2.line as u64),
+            bus,
             wb: VecDeque::new(),
             cfg,
             stats: MemStats::default(),
@@ -158,16 +168,20 @@ impl Hierarchy {
     /// including queueing behind earlier transfers).
     fn mem_fill(&mut self, now: Cycles) -> Cycles {
         self.stats.mem_accesses += 1;
-        let line = self.cfg.l2.line as u64;
-        let done = self.bus.transfer(now + self.cfg.mem_latency, line);
+        let done = self.bus.transfer_for(
+            now + self.cfg.mem_latency,
+            self.cfg.l2.line as u64,
+            self.line_bus_cycles,
+        );
         done - now
     }
 
     fn writeback(&mut self, now: Cycles) {
         self.stats.writebacks += 1;
-        let line = self.cfg.l2.line as u64;
         // Writebacks occupy the bus but do not stall the processor.
-        let _ = self.bus.transfer(now, line);
+        let _ = self
+            .bus
+            .transfer_for(now, self.cfg.l2.line as u64, self.line_bus_cycles);
     }
 
     /// Models a processor *read* of the line containing `addr`; returns the
@@ -228,21 +242,21 @@ impl Hierarchy {
         stall
     }
 
-    /// Models protocol code streaming over `[addr, addr+len)` (twin/diff
-    /// creation or application). Touches every line, polluting the caches,
-    /// and returns the total stall cycles the protocol engine incurs.
+    /// Models an application's coarse access to `[addr, addr+len)` — a
+    /// block copy touched as one operation: one [`Hierarchy::read`] or
+    /// [`Hierarchy::write`] per line, in address order, each issued after
+    /// the previous one's stall. Returns the total stall cycles.
     ///
     /// `write` selects whether the lines are dirtied.
     pub fn touch_range(&mut self, now: Cycles, addr: u64, len: u64, write: bool) -> Cycles {
         if len == 0 {
             return 0;
         }
-        let line = self.cfg.l2.line as u64;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
         let mut stall = 0;
         for l in first..=last {
-            let a = l * line;
+            let a = l << self.line_shift;
             stall += if write {
                 self.write(now + stall, a)
             } else {
@@ -265,12 +279,12 @@ impl Hierarchy {
             return 0;
         }
         let line = self.cfg.l2.line as u64;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
         let mut missed_lines = 0u64;
         let mut hit_lines = 0u64;
         for l in first..=last {
-            let a = l * line;
+            let a = l << self.line_shift;
             self.stats.accesses += 1;
             if self.l1.probe(a, write) {
                 self.stats.l1_hits += 1;
@@ -303,12 +317,11 @@ impl Hierarchy {
         if len == 0 {
             return;
         }
-        let line = self.cfg.l2.line as u64;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
         for l in first..=last {
-            self.l1.invalidate(l * line);
-            self.l2.invalidate(l * line);
+            self.l1.invalidate(l << self.line_shift);
+            self.l2.invalidate(l << self.line_shift);
         }
     }
 

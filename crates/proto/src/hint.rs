@@ -29,13 +29,14 @@
 //! baton). The baton guarantees at most one of these parties executes at
 //! any instant, so the interior mutability is sound; like
 //! [`crate::SharedMem`], debug builds verify the guarantee with an
-//! entrants counter.
+//! entrants counter, and release builds compile the counter out so a
+//! query costs no atomic read-modify-write.
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::page_of;
+use crate::{page_of, PAGE_SIZE};
 
 /// Hint bit: reads of the page predicted to complete locally.
 const READ: u8 = 1;
@@ -44,9 +45,11 @@ const WRITE: u8 = 2;
 
 /// Per-processor, page-granular locality hints (see module docs).
 pub struct HintBoard {
-    /// One page → hint-bits map per processor.
-    bits: UnsafeCell<Vec<HashMap<u64, u8>>>,
+    /// Hint bits per processor, indexed by page number. Pages past the end
+    /// hold no hint; [`HintBoard::observe_local`] grows a row on demand.
+    bits: UnsafeCell<Vec<Vec<u8>>>,
     /// Debug guard: number of threads currently inside an access.
+    #[cfg(debug_assertions)]
     entrants: AtomicUsize,
 }
 
@@ -57,35 +60,50 @@ unsafe impl Sync for HintBoard {}
 unsafe impl Send for HintBoard {}
 
 impl HintBoard {
-    /// Creates an empty board for `nprocs` processors: nothing is
-    /// predicted local until the simulator says so.
-    pub fn new(nprocs: usize) -> Self {
+    /// Creates an empty board for `nprocs` processors over a shared heap of
+    /// `heap_bytes` bytes: nothing is predicted local until the simulator
+    /// says so.
+    pub fn new(nprocs: usize, heap_bytes: u64) -> Self {
+        let npages = heap_bytes.div_ceil(PAGE_SIZE) as usize;
         HintBoard {
-            bits: UnsafeCell::new(vec![HashMap::new(); nprocs]),
+            bits: UnsafeCell::new(vec![vec![0; npages]; nprocs]),
+            #[cfg(debug_assertions)]
             entrants: AtomicUsize::new(0),
         }
     }
 
+    #[cfg(debug_assertions)]
     fn enter(&self) {
         let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(prev, 0, "concurrent HintBoard access: baton violated");
+        assert_eq!(prev, 0, "concurrent HintBoard access: baton violated");
     }
 
+    #[cfg(debug_assertions)]
     fn exit(&self) {
         self.entrants.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut Vec<HashMap<u64, u8>>) -> R) -> R {
+    #[cfg(not(debug_assertions))]
+    fn enter(&self) {}
+
+    #[cfg(not(debug_assertions))]
+    fn exit(&self) {}
+
+    /// Runs `f` on processor `p`'s row of hint bits.
+    fn with<R>(&self, p: usize, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         self.enter();
-        // SAFETY: exclusive access guaranteed by the baton (checked above).
-        let r = f(unsafe { &mut *self.bits.get() });
+        // SAFETY: exclusive access guaranteed by the baton (checked above
+        // in debug builds).
+        let r = f(unsafe { &mut (&mut *self.bits.get())[p] });
         self.exit();
         r
     }
 
-    fn pages(addr: u64, bytes: u64) -> std::ops::RangeInclusive<u64> {
+    /// First and last page of `[addr, addr+bytes)` (a zero-length range
+    /// counts as one byte).
+    fn pages(addr: u64, bytes: u64) -> (usize, usize) {
         let last = addr.saturating_add(bytes.max(1) - 1);
-        page_of(addr)..=page_of(last)
+        (page_of(addr) as usize, page_of(last) as usize)
     }
 
     /// Whether every page of `[addr, addr+bytes)` predicts a local read
@@ -101,9 +119,10 @@ impl HintBoard {
     }
 
     fn predicts(&self, p: usize, addr: u64, bytes: u64, mask: u8) -> bool {
-        self.with(|bits| {
-            let map = &bits[p];
-            Self::pages(addr, bytes).all(|pg| map.get(&pg).is_some_and(|b| b & mask != 0))
+        let (first, last) = Self::pages(addr, bytes);
+        self.with(p, |row| {
+            row.get(first..=last)
+                .is_some_and(|pages| pages.iter().all(|&b| b & mask != 0))
         })
     }
 
@@ -112,10 +131,13 @@ impl HintBoard {
     /// a local read promises nothing about writes.
     pub fn observe_local(&self, p: usize, addr: u64, bytes: u64, write: bool) {
         let mask = if write { READ | WRITE } else { READ };
-        self.with(|bits| {
-            let map = &mut bits[p];
-            for pg in Self::pages(addr, bytes) {
-                *map.entry(pg).or_insert(0) |= mask;
+        let (first, last) = Self::pages(addr, bytes);
+        self.with(p, |row| {
+            if row.len() <= last {
+                row.resize(last + 1, 0);
+            }
+            for b in &mut row[first..=last] {
+                *b |= mask;
             }
         });
     }
@@ -123,23 +145,18 @@ impl HintBoard {
     /// Revokes all hints `p` holds on pages overlapping `[addr, addr+len)`
     /// — called when protocol state invalidates `p`'s local copy.
     pub fn revoke(&self, p: usize, addr: u64, len: u64) {
-        self.with(|bits| {
-            let map = &mut bits[p];
-            for pg in Self::pages(addr, len) {
-                map.remove(&pg);
+        let (first, last) = Self::pages(addr, len);
+        self.with(p, |row| {
+            let end = row.len().min(last + 1);
+            if first < end {
+                row[first..end].fill(0);
             }
         });
     }
 
-    /// Drops every hint for processor `p` (e.g. at a barrier, where HLRC
-    /// invalidates according to incoming write notices).
-    pub fn revoke_all(&self, p: usize) {
-        self.with(|bits| bits[p].clear());
-    }
-
     /// Number of pages `p` currently holds any hint for (diagnostics).
     pub fn hinted_pages(&self, p: usize) -> usize {
-        self.with(|bits| bits[p].len())
+        self.with(p, |row| row.iter().filter(|&&b| b != 0).count())
     }
 }
 
@@ -152,11 +169,10 @@ impl std::fmt::Debug for HintBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PAGE_SIZE;
 
     #[test]
     fn read_hint_does_not_imply_write() {
-        let b = HintBoard::new(2);
+        let b = HintBoard::new(2, 1 << 16);
         assert!(!b.predicts_read_hit(0, 100, 4));
         b.observe_local(0, 100, 4, false);
         assert!(b.predicts_read_hit(0, 100, 4));
@@ -167,7 +183,7 @@ mod tests {
 
     #[test]
     fn write_hint_implies_read() {
-        let b = HintBoard::new(1);
+        let b = HintBoard::new(1, 1 << 16);
         b.observe_local(0, 5000, 8, true);
         assert!(b.predicts_write_hit(0, 5000, 8));
         assert!(b.predicts_read_hit(0, 5000, 8));
@@ -175,7 +191,7 @@ mod tests {
 
     #[test]
     fn hints_are_page_granular_and_span_pages() {
-        let b = HintBoard::new(1);
+        let b = HintBoard::new(1, 1 << 16);
         // An access spanning the page-0/page-1 boundary hints both pages.
         b.observe_local(0, PAGE_SIZE - 4, 8, false);
         assert!(b.predicts_read_hit(0, 0, 4));
@@ -187,7 +203,7 @@ mod tests {
 
     #[test]
     fn revoke_clears_both_kinds() {
-        let b = HintBoard::new(1);
+        let b = HintBoard::new(1, 1 << 16);
         b.observe_local(0, 0, 4, true);
         b.revoke(0, 2, 1);
         assert!(!b.predicts_read_hit(0, 0, 4));
@@ -196,12 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn revoke_all_is_per_processor() {
-        let b = HintBoard::new(2);
-        b.observe_local(0, 0, 4, false);
-        b.observe_local(1, 0, 4, false);
-        b.revoke_all(0);
-        assert!(!b.predicts_read_hit(0, 0, 4));
-        assert!(b.predicts_read_hit(1, 0, 4));
+    fn pages_past_the_heap_grow_on_observe() {
+        let b = HintBoard::new(1, PAGE_SIZE);
+        assert!(!b.predicts_read_hit(0, 5 * PAGE_SIZE, 4));
+        b.revoke(0, 5 * PAGE_SIZE, 4); // out of range: a no-op
+        b.observe_local(0, 5 * PAGE_SIZE, 4, true);
+        assert!(b.predicts_write_hit(0, 5 * PAGE_SIZE, 4));
+        assert!(!b.predicts_read_hit(0, 4 * PAGE_SIZE, 4));
+        assert_eq!(b.hinted_pages(0), 1);
+        // A revocation reaching past the row's end clears what is there.
+        b.revoke(0, 0, 100 * PAGE_SIZE);
+        assert_eq!(b.hinted_pages(0), 0);
     }
 }

@@ -7,10 +7,13 @@
 //! thread executes at any instant (see `ssm-engine::threads`), so plain
 //! unsynchronized access can never race.
 //!
-//! This module is the single `unsafe` island of the workspace (see
-//! DESIGN.md §11).
+//! This module and its sibling [`crate::hint`] hold the workspace's
+//! `unsafe` data-store code (see DESIGN.md §11). Debug builds check the
+//! baton on every access with an entrant counter; release builds skip the
+//! counter, so an access costs no atomic read-modify-write.
 
 use std::cell::UnsafeCell;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -35,10 +38,11 @@ pub struct BarrierId(pub u32);
 /// externally by the engine's baton: simulated-processor threads run one at
 /// a time, and the simulator itself only touches the store while every
 /// application thread is parked. A debug-build guard (`entrants`) verifies
-/// this invariant at runtime.
+/// this invariant at runtime; release builds compile it out.
 pub struct SharedMem {
     data: UnsafeCell<Vec<u8>>,
     /// Debug guard: number of threads currently inside an accessor.
+    #[cfg(debug_assertions)]
     entrants: AtomicUsize,
 }
 
@@ -53,6 +57,7 @@ impl SharedMem {
     pub fn new(bytes: usize) -> Arc<Self> {
         Arc::new(SharedMem {
             data: UnsafeCell::new(vec![0u8; bytes]),
+            #[cfg(debug_assertions)]
             entrants: AtomicUsize::new(0),
         })
     }
@@ -71,50 +76,49 @@ impl SharedMem {
         self.len() == 0
     }
 
-    /// Reads `N` bytes at `addr`.
+    /// Runs `f` on the `len` bytes at `addr`.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
+    fn with_bytes<R>(&self, addr: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         self.enter();
-        // SAFETY: serialized per the struct-level safety model; bounds are
-        // checked by the slice index below.
-        let out = unsafe {
-            let v = &*self.data.get();
-            let s = &v[addr as usize..addr as usize + N];
-            let mut buf = [0u8; N];
-            buf.copy_from_slice(s);
-            buf
-        };
+        // SAFETY: serialized per the struct-level safety model; every `f`
+        // passed here is code of this module that never re-enters the
+        // store. Bounds are checked by the slice index.
+        let r = f(unsafe { &(&*self.data.get())[addr as usize..addr as usize + len] });
         self.exit();
-        out
+        r
     }
 
-    /// Writes `N` bytes at `addr`.
+    /// Runs `f` on the `len` bytes at `addr`, mutably.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn write_bytes<const N: usize>(&self, addr: u64, bytes: [u8; N]) {
+    fn with_bytes_mut(&self, addr: u64, len: usize, f: impl FnOnce(&mut [u8])) {
         self.enter();
-        // SAFETY: serialized per the struct-level safety model; bounds are
-        // checked by the slice index below.
-        unsafe {
-            let v = &mut *self.data.get();
-            v[addr as usize..addr as usize + N].copy_from_slice(&bytes);
-        }
+        // SAFETY: as for `with_bytes`.
+        f(unsafe { &mut (&mut *self.data.get())[addr as usize..addr as usize + len] });
         self.exit();
     }
 
+    #[cfg(debug_assertions)]
     fn enter(&self) {
         let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(prev, 0, "SharedMem accessed concurrently: baton violated");
+        assert_eq!(prev, 0, "SharedMem accessed concurrently: baton violated");
     }
 
+    #[cfg(debug_assertions)]
     fn exit(&self) {
         self.entrants.fetch_sub(1, Ordering::SeqCst);
     }
+
+    #[cfg(not(debug_assertions))]
+    fn enter(&self) {}
+
+    #[cfg(not(debug_assertions))]
+    fn exit(&self) {}
 }
 
 impl std::fmt::Debug for SharedMem {
@@ -138,19 +142,35 @@ pub trait Scalar: private::Sealed + Copy + 'static {
 }
 
 mod private {
-    pub trait Sealed {}
+    /// Seals [`super::Scalar`] and carries its slice codec, which stays
+    /// private to this module.
+    pub trait Sealed: Sized {
+        /// Decodes one value from exactly `size_of::<Self>()` bytes.
+        fn decode(bytes: &[u8]) -> Self;
+        /// Encodes `self` into exactly `size_of::<Self>()` bytes.
+        fn encode(self, out: &mut [u8]);
+    }
 }
 
 macro_rules! impl_scalar {
     ($($t:ty),*) => {$(
-        impl private::Sealed for $t {}
+        impl private::Sealed for $t {
+            fn decode(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("scalar width"))
+            }
+            fn encode(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
         impl Scalar for $t {
             const BYTES: u64 = std::mem::size_of::<$t>() as u64;
             fn load(mem: &SharedMem, addr: u64) -> Self {
-                <$t>::from_le_bytes(mem.read_bytes(addr))
+                mem.with_bytes(addr, Self::BYTES as usize, <$t as private::Sealed>::decode)
             }
             fn store(self, mem: &SharedMem, addr: u64) {
-                mem.write_bytes(addr, self.to_le_bytes());
+                mem.with_bytes_mut(addr, Self::BYTES as usize, |b| {
+                    <$t as private::Sealed>::encode(self, b)
+                });
             }
         }
     )*};
@@ -165,9 +185,13 @@ impl_scalar!(u8, i32, u32, i64, u64, f32, f64);
 ///
 /// * [`SharedVec::get`] / [`SharedVec::set`] — *simulated*: they charge the
 ///   coherence protocol and memory hierarchy via the calling [`Proc`];
-/// * [`SharedVec::get_direct`] / [`SharedVec::set_direct`] — *untimed*:
-///   used for initialization before the run and verification after it,
-///   mirroring the untimed setup phases of the paper's methodology.
+/// * [`SharedVec::get_direct`] / [`SharedVec::set_direct`] and their bulk
+///   forms [`SharedVec::read_direct`] / [`SharedVec::write_direct`] —
+///   *untimed*: used for initialization before the run, verification after
+///   it, and the data half of coarse block copies whose timing is charged
+///   separately ([`SharedVec::touch_range_read`] /
+///   [`SharedVec::touch_range_write`]), mirroring the untimed setup phases
+///   of the paper's methodology.
 pub struct SharedVec<T: Scalar> {
     mem: Arc<SharedMem>,
     addr: u64,
@@ -229,9 +253,50 @@ impl<T: Scalar> SharedVec<T> {
         v.store(&self.mem, self.addr_of(i));
     }
 
+    /// Untimed read of the `n` consecutive elements starting at `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + n > len`.
+    pub fn read_direct(&self, i: usize, n: usize) -> Vec<T> {
+        let addr = self.block_addr(i, n);
+        let w = T::BYTES as usize;
+        self.mem.with_bytes(addr, n * w, |b| {
+            b.chunks_exact(w)
+                .map(<T as private::Sealed>::decode)
+                .collect()
+        })
+    }
+
+    /// Untimed write of `vals` to consecutive elements starting at `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + vals.len() > len`.
+    pub fn write_direct(&self, i: usize, vals: &[T]) {
+        let addr = self.block_addr(i, vals.len());
+        let w = T::BYTES as usize;
+        self.mem.with_bytes_mut(addr, vals.len() * w, |b| {
+            for (out, &v) in b.chunks_exact_mut(w).zip(vals) {
+                v.encode(out);
+            }
+        });
+    }
+
+    /// Address of element `i`, after checking that `[i, i+n)` lies within
+    /// the vector.
+    fn block_addr(&self, i: usize, n: usize) -> u64 {
+        assert!(
+            i <= self.len && n <= self.len - i,
+            "block {i}..{i}+{n} out of bounds (len {})",
+            self.len
+        );
+        self.addr + (i as u64) * T::BYTES
+    }
+
     /// Simulated read of `n` consecutive elements starting at `i`, touching
-    /// the whole range once (coarse-grained access) and returning element
-    /// values via the untimed path.
+    /// the whole range once (coarse-grained access). It charges the access
+    /// only; the values come from [`SharedVec::read_direct`].
     pub fn touch_range_read(&self, p: &Proc, i: usize, n: usize) {
         if n == 0 {
             return;
@@ -397,6 +462,29 @@ mod tests {
         for i in 0..100 {
             assert_eq!(v.get_direct(i), (i * i) as u64);
         }
+    }
+
+    #[test]
+    fn bulk_direct_access_matches_per_element() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<f64>(50);
+        let vals: Vec<f64> = (0..20).map(|i| i as f64 * 1.5 - 3.0).collect();
+        v.write_direct(7, &vals);
+        for (k, &x) in vals.iter().enumerate() {
+            assert_eq!(v.get_direct(7 + k), x);
+        }
+        assert_eq!(v.read_direct(7, 20), vals);
+        assert_eq!(v.read_direct(0, 7), vec![0.0; 7]);
+        assert!(v.read_direct(50, 0).is_empty());
+        v.write_direct(50, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bulk_bounds_checked() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<u32>(8);
+        let _ = v.read_direct(5, 4);
     }
 
     #[test]

@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn batched_proc_accumulates_predicted_hits() {
-        let board = Arc::new(HintBoard::new(1));
+        let board = Arc::new(HintBoard::new(1, 1 << 16));
         board.observe_local(0, 0, crate::PAGE_SIZE, true); // page 0: read+write local
         let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn sync_ops_seal_and_unlock_batches() {
-        let board = Arc::new(HintBoard::new(1));
+        let board = Arc::new(HintBoard::new(1, 1 << 16));
         let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
         let t = pool.spawn(move |y| {
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn cap_flushes_long_runs() {
-        let board = Arc::new(HintBoard::new(1));
+        let board = Arc::new(HintBoard::new(1, 1 << 16));
         board.observe_local(0, 0, crate::PAGE_SIZE, false);
         let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn empty_finish_yields_nothing() {
-        let board = Arc::new(HintBoard::new(1));
+        let board = Arc::new(HintBoard::new(1, 1 << 16));
         let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
         let t = pool.spawn(move |y| {
