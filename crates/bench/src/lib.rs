@@ -68,10 +68,10 @@ pub struct Sample {
     pub mean_ns: f64,
 }
 
-/// Measures `f` and prints one `name: best .. mean ns/iter` line — a
-/// dependency-free stand-in for a micro-benchmark harness. The workload's
-/// result is returned through a volatile sink so the optimizer cannot
-/// delete it.
+/// Measures `f` and prints one `name: <best>/iter (best), <mean>/iter
+/// (mean)` line — a dependency-free stand-in for a micro-benchmark
+/// harness. The workload's result is returned through a volatile sink so
+/// the optimizer cannot delete it.
 ///
 /// Calibrates the iteration count so one batch takes roughly
 /// `SSM_BENCH_MS` milliseconds (default 50), then times `SSM_BENCH_BATCHES`
@@ -121,7 +121,7 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Sample {
         mean_ns: sum / f64::from(batches),
     };
     println!(
-        "{name}: {:>12} ns/iter (best), {:>12} ns/iter (mean), {} iters x {batches}",
+        "{name}: {:>10}/iter (best), {:>10}/iter (mean), {} iters x {batches}",
         format_ns(sample.best_ns),
         format_ns(sample.mean_ns),
         iters

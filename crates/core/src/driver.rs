@@ -22,18 +22,17 @@
 //!
 //! With batching enabled (the default), threads run against a
 //! hint-carrying [`Proc`] that hands whole *runs* of operations to the
-//! driver in one baton exchange. The driver queues each batch per
-//! processor and replays it **one operation per scheduling step**: a step
-//! either pops the next queued operation or — only when the queue is
-//! empty — resumes the thread for more. The operation stream each
-//! processor feeds the protocol, and the order the scheduler interleaves
-//! the processors, are therefore exactly those of an unbatched run, and
-//! every simulated result is byte-identical; only the handoff counters
-//! differ. Hints are learned here (an access that sent zero messages
-//! marks its pages local for that processor) and revoked by the machine
-//! on protocol invalidation.
+//! driver in one baton exchange. The driver keeps each received batch per
+//! processor and replays it in place **one operation per scheduling
+//! step**: a step either takes the batch's next operation or — only when
+//! the batch is used up — resumes the thread for more. The operation
+//! stream each processor feeds the protocol, and the order the scheduler
+//! interleaves the processors, are therefore exactly those of an
+//! unbatched run, and every simulated result is byte-identical; only the
+//! handoff counters differ. Hints are learned here (an access that sent
+//! zero messages marks its pages local for that processor) and revoked
+//! by the machine on protocol invalidation.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
@@ -119,16 +118,14 @@ pub fn run_simulation(
 
     let m = &mut machine;
     let mut state = vec![PState::Ready; nprocs];
-    // Operations received in a batch but not yet replayed, per processor.
-    let mut queued: Vec<VecDeque<Op>> = vec![VecDeque::new(); nprocs];
+    // The rest of the last batch each processor handed over, not yet
+    // replayed: the received buffer and its cursor.
+    let mut queued: Vec<std::vec::IntoIter<Op>> =
+        (0..nprocs).map(|_| Vec::new().into_iter()).collect();
+    let mut pick = Pick::default();
     let mut done = 0usize;
     while done < nprocs {
-        // Pick the ready processor with the smallest clock (determinism:
-        // ties break toward the lower pid).
-        let p = (0..nprocs)
-            .filter(|&q| state[q] == PState::Ready)
-            .min_by_key(|&q| (m.clock[q], q));
-        let Some(p) = p else {
+        let Some(p) = pick.next(&m.clock, |q| state[q] == PState::Ready) else {
             let blocked: Vec<String> = (0..nprocs)
                 .filter(|&q| !matches!(state[q], PState::Done))
                 .map(|q| format!("P{q}@{}", m.clock[q]))
@@ -140,9 +137,9 @@ pub fn run_simulation(
             );
         };
 
-        // One operation per step: replay from the processor's queue, and
-        // only hand the baton over when the queue is dry.
-        let next = match queued[p].pop_front() {
+        // One operation per step: replay from the processor's batch, and
+        // only hand the baton over when the batch is used up.
+        let next = match queued[p].next() {
             Some(op) => Some(op),
             None => {
                 m.counters_mut(p).handoffs += 1;
@@ -159,8 +156,8 @@ pub fn run_simulation(
                             FLUSH_END => c.flush_end += 1,
                             other => panic!("unknown batch-flush cause {other}"),
                         }
-                        queued[p].extend(ops);
-                        queued[p].pop_front()
+                        queued[p] = ops.into_iter();
+                        queued[p].next()
                     }
                 }
             }
@@ -233,6 +230,7 @@ pub fn run_simulation(
             };
             settle(m, q, since, t, bucket_total_before, bucket);
             state[q] = PState::Ready;
+            pick.reset();
         }
     }
 
@@ -259,6 +257,54 @@ pub fn run_simulation(
         trace,
         threads_spawned: threads_spawned as u64,
         threads_reused: threads_reused as u64,
+    }
+}
+
+/// The scheduler's choice: the ready processor with the smallest
+/// `(clock, pid)`, so ties break toward the lower pid (determinism).
+///
+/// A step changes only the picked processor's clock and state, so the
+/// pick is kept together with its *rival*, the smallest `(clock, pid)`
+/// among the other ready processors, and reused while it stays ready and
+/// below the rival. A wakeup changes other processors, so it must be
+/// followed by [`Pick::reset`].
+#[derive(Debug, Default)]
+struct Pick {
+    /// The last pick and its rival (`None`: no other processor is ready).
+    cached: Option<(usize, Option<(Cycles, usize)>)>,
+}
+
+impl Pick {
+    /// The ready processor with the smallest `(clock, pid)`, or `None` if
+    /// none is ready. Since the previous call, only the processor it
+    /// returned may have changed its clock or readiness, unless
+    /// [`Pick::reset`] was called.
+    fn next(&mut self, clock: &[Cycles], ready: impl Fn(usize) -> bool) -> Option<usize> {
+        if let Some((p, rival)) = self.cached {
+            if ready(p) && rival.is_none_or(|r| (clock[p], p) < r) {
+                return Some(p);
+            }
+        }
+        let mut best: Option<(Cycles, usize)> = None;
+        let mut rival = None;
+        for key in (0..clock.len())
+            .filter(|&q| ready(q))
+            .map(|q| (clock[q], q))
+        {
+            if best.is_none_or(|b| key < b) {
+                rival = best;
+                best = Some(key);
+            } else if rival.is_none_or(|r| key < r) {
+                rival = Some(key);
+            }
+        }
+        self.cached = best.map(|(_, p)| (p, rival));
+        self.cached.map(|(p, _)| p)
+    }
+
+    /// Forgets the cached pick: the next call rescans every processor.
+    fn reset(&mut self) {
+        self.cached = None;
     }
 }
 
@@ -290,4 +336,64 @@ fn settle(m: &mut Machine, p: usize, t0: Cycles, t1: Cycles, before: u64, bucket
     let charged = m.breakdowns()[p].total() - before;
     m.charge(p, bucket, elapsed.saturating_sub(charged));
     m.clock[p] = t1;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64: a tiny seeded generator.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The cached pick agrees with a full `(clock, pid)` scan on random
+    /// runs of clock advances (often by zero, so clocks tie), blocks,
+    /// wakeups and finishes, obeying the driver's contract: a step changes
+    /// only the picked processor, and a wakeup is followed by a reset.
+    #[test]
+    fn cached_pick_matches_full_scan() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum S {
+            Ready,
+            Blocked,
+            Done,
+        }
+        for seed in 0..200u64 {
+            let mut rng = seed;
+            let n = 1 + (splitmix(&mut rng) % 8) as usize;
+            let mut clock = vec![0 as Cycles; n];
+            let mut state = vec![S::Ready; n];
+            let mut pick = Pick::default();
+            for step in 0..2_000 {
+                let got = pick.next(&clock, |q| state[q] == S::Ready);
+                let want = (0..n)
+                    .filter(|&q| state[q] == S::Ready)
+                    .min_by_key(|&q| (clock[q], q));
+                assert_eq!(got, want, "seed {seed}, step {step}, clocks {clock:?}");
+                let r = splitmix(&mut rng);
+                if let Some(p) = got {
+                    match r % 16 {
+                        0 => state[p] = S::Blocked,
+                        1 => state[p] = S::Done,
+                        k => clock[p] += k % 3,
+                    }
+                }
+                let blocked: Vec<usize> = (0..n).filter(|&q| state[q] == S::Blocked).collect();
+                if !blocked.is_empty() && (got.is_none() || (r >> 8).is_multiple_of(4)) {
+                    let q = blocked[(r >> 16) as usize % blocked.len()];
+                    clock[q] += (r >> 32) % 4;
+                    state[q] = S::Ready;
+                    pick.reset();
+                }
+                if state.iter().all(|&s| s == S::Done) {
+                    break;
+                }
+            }
+        }
+    }
 }

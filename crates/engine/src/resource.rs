@@ -57,6 +57,7 @@ impl Resource {
 
     /// Like [`Resource::acquire`] but also returns the start time, which is
     /// when the requester stops waiting in line and begins being served.
+    #[inline]
     pub fn acquire_span(&mut self, now: Cycles, duration: Cycles) -> (Cycles, Cycles) {
         let start = self.busy_until.max(now);
         self.busy_until = start + duration;
@@ -156,6 +157,7 @@ impl Pipe {
     /// [`Pipe::transfer`] with the occupancy already computed: `dur` must
     /// equal `self.latency_of(bytes)`. Callers moving a fixed size many
     /// times compute the duration once instead of dividing per transfer.
+    #[inline]
     pub fn transfer_for(&mut self, now: Cycles, bytes: u64, dur: Cycles) -> Cycles {
         debug_assert_eq!(dur, self.latency_of(bytes), "stale transfer duration");
         self.bytes_moved += bytes;

@@ -40,24 +40,52 @@ impl CacheConfig {
 /// is below `2^62` and no valid slot can equal or match the sentinel.
 const EMPTY: u64 = u64::MAX;
 
+/// What [`Cache::access`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The line was resident.
+    Hit,
+    /// The line was not resident and is now installed, over a valid line
+    /// (`Some(victim_dirty)`) or an empty slot (`None`).
+    Miss(Option<bool>),
+}
+
+/// The directory as fixed-width sets, one variant per supported
+/// associativity, so every set scan has a compile-time length.
+#[derive(Debug)]
+enum Sets {
+    W1(Vec<[u64; 1]>),
+    W2(Vec<[u64; 2]>),
+    W4(Vec<[u64; 4]>),
+}
+
+/// Evaluates `$body` with `$sets` bound to the directory's `&mut
+/// Vec<[u64; W]>`, whatever its width `W`.
+macro_rules! with_sets {
+    ($dir:expr, |$sets:ident| $body:expr) => {
+        match $dir {
+            Sets::W1($sets) => $body,
+            Sets::W2($sets) => $body,
+            Sets::W4($sets) => $body,
+        }
+    };
+}
+
 /// A set-associative LRU cache over 64-bit addresses.
 ///
 /// # Example
 ///
 /// ```rust
-/// use ssm_mem::{Cache, CacheConfig};
+/// use ssm_mem::{Access, Cache, CacheConfig};
 /// let mut c = Cache::new(CacheConfig { size: 128, line: 32, assoc: 2 });
-/// assert!(!c.probe(0, false)); // cold
-/// c.fill(0, false);
-/// assert!(c.probe(0, false)); // warm
+/// assert_eq!(c.access(0, false), Access::Miss(None)); // cold
+/// assert_eq!(c.access(0, false), Access::Hit); // installed by the miss
 /// ```
 #[derive(Debug)]
 pub struct Cache {
-    cfg: CacheConfig,
-    /// `assoc` slots per set, set after set. Within a set the valid lines
-    /// come first, most-recently-used first, and [`EMPTY`] slots fill the
-    /// tail.
-    slots: Vec<u64>,
+    /// Within a set the valid lines come first, most-recently-used first,
+    /// and [`EMPTY`] slots fill the tail.
+    sets: Sets,
     set_mask: u64,
     line_shift: u32,
     set_shift: u32,
@@ -69,8 +97,9 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (see [`CacheConfig::sets`]), if
-    /// the set count is not a power of two, or if `line * sets` is below 4
-    /// bytes (the packed directory needs two address bits below the tag).
+    /// the set count is not a power of two, if `line * sets` is below 4
+    /// bytes (the packed directory needs two address bits below the tag),
+    /// or if the associativity is not 1, 2 or 4.
     pub fn new(cfg: CacheConfig) -> Self {
         let nsets = cfg.sets();
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
@@ -80,90 +109,121 @@ impl Cache {
             line_shift + set_shift >= 2,
             "a way must span at least 4 bytes (line * sets)"
         );
+        let sets = match cfg.assoc {
+            1 => Sets::W1(vec![[EMPTY; 1]; nsets]),
+            2 => Sets::W2(vec![[EMPTY; 2]; nsets]),
+            4 => Sets::W4(vec![[EMPTY; 4]; nsets]),
+            n => panic!("unsupported associativity {n} (1, 2 or 4)"),
+        };
         Cache {
-            slots: vec![EMPTY; nsets * cfg.assoc],
+            sets,
             set_mask: nsets as u64 - 1,
             line_shift,
             set_shift,
-            cfg,
         }
     }
 
-    /// The slots of the set `addr` maps to, and the line's tag.
-    fn locate(&mut self, addr: u64) -> (&mut [u64], u64) {
+    /// The index of the set `addr` maps to, and the line's tag.
+    fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        let assoc = self.cfg.assoc;
-        let base = (line & self.set_mask) as usize * assoc;
-        (&mut self.slots[base..base + assoc], line >> self.set_shift)
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 
-    /// Position of `tag` in `set`, if present. [`EMPTY`] never matches: its
-    /// tag half exceeds every real tag.
-    fn find(set: &[u64], tag: u64) -> Option<usize> {
-        set.iter().position(|&s| s >> 1 == tag)
-    }
-
-    /// Moves the slot at `pos` to the front of `set` (MRU), shifting the
-    /// slots before it back by one, and ORs `dirty` into it.
-    fn promote(set: &mut [u64], pos: usize, dirty: bool) {
-        let slot = set[pos] | u64::from(dirty);
-        let mut i = pos;
-        while i > 0 {
-            set[i] = set[i - 1];
-            i -= 1;
-        }
-        set[0] = slot;
+    /// Looks up `addr` and, on a miss, installs its line, in one scan of
+    /// its set. Either way the line ends most-recently-used, with `dirty`
+    /// ORed into its dirty bit.
+    #[inline]
+    pub fn access(&mut self, addr: u64, dirty: bool) -> Access {
+        let (i, tag) = self.locate(addr);
+        with_sets!(&mut self.sets, |s| access(&mut s[i], tag, dirty))
     }
 
     /// Looks up `addr`; on a hit, refreshes LRU order and (for writes) sets
-    /// the dirty bit. Returns whether it hit.
+    /// the dirty bit. Returns whether it hit. A miss installs nothing.
     pub fn probe(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.locate(addr);
-        match Self::find(set, tag) {
-            Some(pos) => {
-                Self::promote(set, pos, write);
-                true
-            }
-            None => false,
-        }
+        let (i, tag) = self.locate(addr);
+        with_sets!(&mut self.sets, |s| find(&s[i], tag)
+            .map(|pos| promote(&mut s[i], pos, write))
+            .is_some())
     }
 
-    /// Installs the line containing `addr` (MRU position). Returns
-    /// `Some(evicted_dirty)` if a valid line was evicted, `None` otherwise.
+    /// Installs the line containing `addr` (MRU position), or refreshes it
+    /// if already present. Returns `Some(evicted_dirty)` if a valid line
+    /// was evicted, `None` otherwise.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<bool> {
-        let (set, tag) = self.locate(addr);
-        if let Some(pos) = Self::find(set, tag) {
-            // Already present (e.g. refill after a race): refresh.
-            Self::promote(set, pos, dirty);
-            return None;
+        match self.access(addr, dirty) {
+            Access::Hit => None,
+            Access::Miss(evicted) => evicted,
         }
-        let last = set.len() - 1;
-        let victim = set[last];
-        set[last] = tag << 1 | u64::from(dirty);
-        Self::promote(set, last, false);
-        (victim != EMPTY).then_some(victim & 1 == 1)
     }
 
-    /// Removes the line containing `addr` if present (no writeback: the
-    /// contents are assumed stale). Returns whether it was present.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        match Self::find(set, tag) {
-            Some(pos) => {
-                for i in pos..set.len() - 1 {
-                    set[i] = set[i + 1];
-                }
-                set[set.len() - 1] = EMPTY;
-                true
+    /// Removes every line of `[addr, addr+len)` that is present (no
+    /// writeback: the contents are assumed stale); returns how many were.
+    /// Consecutive lines under one tag map to consecutive sets until the
+    /// set index wraps, so each such run is one scan over a slice of sets.
+    pub fn invalidate_range(&mut self, addr: u64, len: u64) -> usize {
+        if len == 0 {
+            return 0;
+        }
+        let mut line = addr >> self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
+        let mut removed = 0;
+        loop {
+            let run_end = last.min(line | self.set_mask);
+            let (first_set, tag) = self.locate(line << self.line_shift);
+            let run = first_set..=first_set + (run_end - line) as usize;
+            removed += with_sets!(&mut self.sets, |s| s[run]
+                .iter_mut()
+                .map(|set| usize::from(invalidate(set, tag)))
+                .sum::<usize>());
+            if run_end == last {
+                return removed;
             }
-            None => false,
+            line = run_end + 1;
         }
     }
+}
 
-    /// The configured geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
+/// Position of `tag` in `set`, if present. [`EMPTY`] never matches: its
+/// tag half exceeds every real tag.
+#[inline]
+fn find<const W: usize>(set: &[u64; W], tag: u64) -> Option<usize> {
+    set.iter().position(|&s| s >> 1 == tag)
+}
+
+/// Moves the slot at `pos` to the front of `set` (MRU), shifting the slots
+/// before it back by one, and ORs `dirty` into it.
+#[inline]
+fn promote<const W: usize>(set: &mut [u64; W], pos: usize, dirty: bool) {
+    let slot = set[pos] | u64::from(dirty);
+    set.copy_within(0..pos, 1);
+    set[0] = slot;
+}
+
+/// [`Cache::access`] on one set: a hit is promoted; a miss shifts every
+/// slot back by one, dropping the LRU slot, and installs `tag` at the front.
+#[inline]
+fn access<const W: usize>(set: &mut [u64; W], tag: u64, dirty: bool) -> Access {
+    if let Some(pos) = find(set, tag) {
+        promote(set, pos, dirty);
+        return Access::Hit;
     }
+    let victim = set[W - 1];
+    set.copy_within(0..W - 1, 1);
+    set[0] = tag << 1 | u64::from(dirty);
+    Access::Miss((victim != EMPTY).then_some(victim & 1 == 1))
+}
+
+/// [`Cache::invalidate_range`] on one set: removes `tag`, closing the gap so the
+/// [`EMPTY`] slots stay at the tail.
+#[inline]
+fn invalidate<const W: usize>(set: &mut [u64; W], tag: u64) -> bool {
+    let found = find(set, tag);
+    if let Some(pos) = found {
+        set.copy_within(pos + 1.., pos);
+        set[W - 1] = EMPTY;
+    }
+    found.is_some()
 }
 
 #[cfg(test)]
@@ -257,34 +317,76 @@ mod tests {
     fn packed_directory_matches_reference_model() {
         let tiny = MemConfig::tiny();
         let ppro = MemConfig::pentium_pro_like();
-        for (cfg, seed) in [(tiny.l1, 1u64), (tiny.l2, 2), (ppro.l1, 3), (ppro.l2, 4)] {
+        let four_sets_4way = CacheConfig {
+            size: 512,
+            line: 32,
+            assoc: 4,
+        };
+        let configs = [
+            (tiny.l1, 1u64), // 1-way, 8 sets
+            (tiny.l2, 2),    // 2-way, 16 sets
+            (ppro.l1, 3),    // 2-way, 128 sets
+            (ppro.l2, 4),    // 4-way, 2048 sets
+            (four_sets_4way, 5),
+        ];
+        for (cfg, seed) in configs {
             let mut packed = Cache::new(cfg);
             let mut reference = RefCache::new(cfg);
             let mut rng = seed;
+            let line = cfg.line as u64;
+            let set_mask = cfg.sets() as u64 - 1;
             // Addresses span 4x the capacity so sets overflow and evict.
             let span = 4 * cfg.size as u64;
+            let enc = |e: Option<bool>| e.map_or(0, |d| 1 + d as usize);
             for step in 0..200_000 {
                 let r = splitmix(&mut rng);
                 let addr = (r >> 8) % span;
                 let flag = r & 1 == 1;
-                let (got, want) = match (r >> 1) % 3 {
+                let (got, want) = match (r >> 1) % 5 {
                     0 => (
-                        packed.probe(addr, flag) as u8,
-                        reference.probe(addr, flag) as u8,
+                        packed.probe(addr, flag) as usize,
+                        reference.probe(addr, flag) as usize,
                     ),
-                    1 => {
-                        let enc = |e: Option<bool>| e.map_or(0, |d| 1 + d as u8);
+                    1 => (
+                        enc(packed.fill(addr, flag)),
+                        enc(reference.fill(addr, flag)),
+                    ),
+                    2 => {
+                        let hit = reference.probe(addr, flag);
+                        let want = if hit {
+                            Access::Hit
+                        } else {
+                            Access::Miss(reference.fill(addr, flag))
+                        };
+                        let got = packed.access(addr, flag);
+                        assert_eq!(got, want, "{cfg:?}: step {step}, access {addr:#x}");
+                        (0, 0)
+                    }
+                    3 => (
+                        packed.invalidate_range(addr, 1),
+                        reference.invalidate(addr) as usize,
+                    ),
+                    _ => {
+                        // A range starting up to 15 lines before a set-index
+                        // wrap and up to 48 lines long, at any byte offset.
+                        let start = ((addr / line) | set_mask).saturating_sub((r >> 40) % 16);
+                        let start = start * line + (r >> 48) % line;
+                        let len = 1 + (r >> 52) % (48 * line);
+                        let lines = start / line..=(start + len - 1) / line;
                         (
-                            enc(packed.fill(addr, flag)),
-                            enc(reference.fill(addr, flag)),
+                            packed.invalidate_range(start, len),
+                            lines.filter(|l| reference.invalidate(l * line)).count(),
                         )
                     }
-                    _ => (
-                        packed.invalidate(addr) as u8,
-                        reference.invalidate(addr) as u8,
-                    ),
                 };
                 assert_eq!(got, want, "{cfg:?}: step {step}, addr {addr:#x}");
+            }
+            for a in (0..span).step_by(cfg.line) {
+                assert_eq!(
+                    packed.probe(a, false),
+                    reference.probe(a, false),
+                    "{cfg:?}: {a:#x}"
+                );
             }
         }
     }
@@ -358,9 +460,9 @@ mod tests {
     fn invalidate_removes() {
         let mut c = small();
         c.fill(0, true);
-        assert!(c.invalidate(0));
+        assert_eq!(c.invalidate_range(0, 1), 1);
         assert!(!c.probe(0, false));
-        assert!(!c.invalidate(0));
+        assert_eq!(c.invalidate_range(0, 32), 0);
     }
 
     #[test]
@@ -386,7 +488,7 @@ mod tests {
         assert!(c.probe(u64::MAX, false));
         assert!(!c.probe(u64::MAX - 4, false));
         assert_eq!(c.fill(u64::MAX - 4, false), Some(true));
-        assert!(c.invalidate(u64::MAX - 4));
+        assert_eq!(c.invalidate_range(u64::MAX - 4, 1), 1);
     }
 
     #[test]
@@ -396,6 +498,16 @@ mod tests {
             size: 2,
             line: 1,
             assoc: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported associativity 3")]
+    fn three_way_rejected() {
+        let _ = Cache::new(CacheConfig {
+            size: 3 * 4 * 32,
+            line: 32,
+            assoc: 3,
         });
     }
 

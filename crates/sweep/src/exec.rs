@@ -161,6 +161,10 @@ impl SweepRun {
     /// per cell (speedup when a baseline is available, wall cycles,
     /// verification, host time). This is the repo's machine-readable
     /// benchmark-trajectory output.
+    ///
+    /// The file is written beside its final name and renamed over it, so a
+    /// sweep killed mid-write leaves the previous summary whole. There is
+    /// no fsync: the summary is rewritten by every sweep.
     pub fn write_summary(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let cells: Vec<Json> = self
@@ -260,7 +264,10 @@ impl SweepRun {
             ("host_ms".to_string(), Json::Int(self.host_ms)),
             ("cells".to_string(), Json::Arr(cells)),
         ]);
-        std::fs::write(dir.join(SUMMARY_FILE), summary.render() + "\n")
+        let path = dir.join(SUMMARY_FILE);
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, summary.render() + "\n")?;
+        std::fs::rename(&tmp, &path)
     }
 }
 
@@ -674,6 +681,41 @@ mod tests {
             summary: false,
             ..SweepOpts::default()
         }
+    }
+
+    #[test]
+    fn summary_replaces_the_old_file_whole() {
+        let dir = std::env::temp_dir().join(format!("ssm-sweep-summary-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SUMMARY_FILE);
+        let old = "x".repeat(64 << 10);
+        std::fs::write(&path, &old).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        let run = SweepRun {
+            outcomes: Vec::new(),
+            index: HashMap::new(),
+            executed: 0,
+            cached: 0,
+            failed: 0,
+            abandoned_threads: 0,
+            host_ms: 7,
+        };
+        run.write_summary(&dir).unwrap();
+        // The old file was replaced, not rewritten in place: a reader that
+        // opened it before still reads it whole.
+        let mut seen = String::new();
+        std::io::Read::read_to_string(&mut reader, &mut seen).unwrap();
+        assert!(seen == old, "the old summary was rewritten in place");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let json = Json::parse(text.trim_end()).unwrap();
+        assert_eq!(json.get("host_ms").and_then(Json::as_u64), Some(7));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [SUMMARY_FILE], "no temp file may remain");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
