@@ -147,6 +147,11 @@ impl Cx {
         }
     }
 
+    /// The complex conjugate.
+    pub fn conj(self) -> Self {
+        Cx::new(self.re, -self.im)
+    }
+
     /// Squared magnitude.
     pub fn norm2(self) -> f64 {
         self.re * self.re + self.im * self.im

@@ -7,9 +7,14 @@
 //! exactly the behaviour the paper relies on when it calls FFT a
 //! "coarse-grained-access, single-writer application" with little protocol
 //! activity but real bandwidth demands.
+//!
+//! As in SPLASH-2, the roots of unity come from precomputed tables rather
+//! than a sine and cosine per point: `Roots` keeps two √n-entry tables
+//! and forms each n-th root with one complex multiply.
 
 use std::cell::RefCell;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
 
@@ -61,11 +66,41 @@ impl Fft {
         self.n / 3 + 1
     }
 
-    fn input(&self, j: usize) -> Cx {
-        let n = self.n as f64;
-        let w0 = Cx::cis(2.0 * PI * (K0 * j % self.n) as f64 / n);
-        let w1 = Cx::cis(2.0 * PI * (self.second_spike() * j % self.n) as f64 / n);
+    fn input(&self, roots: &Roots, j: usize) -> Cx {
+        let w0 = roots.get(K0 * j % self.n);
+        let w1 = roots.get(self.second_spike() * j % self.n);
         A0 * w0 + A1 * w1
+    }
+}
+
+/// The n-th roots of unity `cis(2πk/n)` for an `n = m * m`-point FFT, from
+/// two m-entry tables: `k = q*m + r` gives `coarse[q] * fine[r]`, where
+/// `coarse[q] = cis(2πq/m)` and `fine[r] = cis(2πr/n)`.
+#[derive(Debug)]
+struct Roots {
+    /// `log2 m`, to split `k` into `k / m` and `k % m`.
+    shift: u32,
+    coarse: Vec<Cx>,
+    fine: Vec<Cx>,
+}
+
+impl Roots {
+    /// The tables for `n = m * m` points (`m` a power of two).
+    fn new(m: usize) -> Self {
+        let n = (m * m) as f64;
+        Roots {
+            shift: m.trailing_zeros(),
+            coarse: (0..m)
+                .map(|q| Cx::cis(2.0 * PI * q as f64 / m as f64))
+                .collect(),
+            fine: (0..m).map(|r| Cx::cis(2.0 * PI * r as f64 / n)).collect(),
+        }
+    }
+
+    /// `cis(2πk/n)` for `k < n`.
+    #[inline]
+    fn get(&self, k: usize) -> Cx {
+        self.coarse[k >> self.shift] * self.fine[k & (self.fine.len() - 1)]
     }
 }
 
@@ -98,16 +133,15 @@ fn transpose_band(
     }
 }
 
-/// One processor's row-FFT pass over its band, optionally applying the
-/// six-step twiddle factors `W_n^{j2*k1}` after the transform.
+/// One processor's row-FFT pass over its band, applying the six-step
+/// twiddle factors `W_n^{r*k1}` after the transform when given the roots.
 fn fft_band(
     p: &Proc<'_>,
     v: &SharedVec<f64>,
-    n: usize,
+    roots: Option<&Roots>,
     m: usize,
     r0: usize,
     r1: usize,
-    twiddle: bool,
 ) {
     for r in r0..r1 {
         let seg = read_block(p, v, r * m * 2, m * 2);
@@ -116,10 +150,9 @@ fn fft_band(
             .collect();
         fft_in_place(&mut row, false);
         p.compute(fft_cycles(m));
-        if twiddle {
+        if let Some(roots) = roots {
             for (k1, c) in row.iter_mut().enumerate() {
-                let w = Cx::cis(-2.0 * PI * ((r * k1) % n) as f64 / n as f64);
-                *c = *c * w;
+                *c = *c * roots.get(r * k1).conj();
             }
             p.compute(m as u64 * 6 * FLOP);
         }
@@ -146,30 +179,36 @@ impl Workload for Fft {
         let data = world.alloc_vec::<f64>(self.n * 2);
         let scratch = world.alloc_vec::<f64>(self.n * 2);
         let bar = world.alloc_barrier();
-        for j in 0..self.n {
-            let c = self.input(j);
-            data.set_direct(2 * j, c.re);
-            data.set_direct(2 * j + 1, c.im);
+        let roots = Arc::new(Roots::new(self.m));
+        let m = self.m;
+        let mut row = Vec::with_capacity(2 * m);
+        for r in 0..m {
+            row.clear();
+            row.extend((r * m..(r + 1) * m).flat_map(|j| {
+                let c = self.input(&roots, j);
+                [c.re, c.im]
+            }));
+            data.write_direct(2 * r * m, &row);
         }
         *self.result.borrow_mut() = Some(scratch.clone());
-        let (n, m) = (self.n, self.m);
         (0..nprocs)
             .map(|pid| {
                 let data = data.clone();
                 let scratch = scratch.clone();
+                let roots = roots.clone();
                 let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
                     let (r0, r1) = block_range(m, p.nprocs(), pid);
                     // Step 1: transpose data -> scratch.
                     transpose_band(p, &data, &scratch, m, r0, r1);
                     p.barrier(bar);
                     // Step 2+3: row FFTs on scratch with twiddles.
-                    fft_band(p, &scratch, n, m, r0, r1, true);
+                    fft_band(p, &scratch, Some(&roots), m, r0, r1);
                     p.barrier(bar);
                     // Step 4: transpose scratch -> data.
                     transpose_band(p, &scratch, &data, m, r0, r1);
                     p.barrier(bar);
                     // Step 5: row FFTs on data.
-                    fft_band(p, &data, n, m, r0, r1, false);
+                    fft_band(p, &data, None, m, r0, r1);
                     p.barrier(bar);
                     // Step 6: final transpose data -> scratch (natural order).
                     transpose_band(p, &data, &scratch, m, r0, r1);
@@ -255,6 +294,35 @@ mod tests {
             (seq as f64 / par as f64) > 2.0,
             "ideal speedup too low: {seq}/{par}"
         );
+    }
+
+    /// Whether the table root for `k` is within 1e-15 of `Cx::cis` in
+    /// both components.
+    fn root_matches_cis(roots: &Roots, n: usize, k: usize) {
+        let got = roots.get(k);
+        let want = Cx::cis(2.0 * PI * k as f64 / n as f64);
+        assert!(
+            (got.re - want.re).abs() <= 1e-15 && (got.im - want.im).abs() <= 1e-15,
+            "n {n}, k {k}: table {got:?}, cis {want:?}"
+        );
+    }
+
+    #[test]
+    fn table_roots_match_cis() {
+        // Every root at n = 4^6.
+        let roots = Roots::new(64);
+        for k in 0..4096 {
+            root_matches_cis(&roots, 4096, k);
+        }
+        // Seeded samples at the bench size n = 2^20, plus both ends.
+        let roots = Roots::new(1024);
+        let mut rng = crate::common::Rng::new(17);
+        for k in [0, 1, 1023, 1024, (1 << 20) - 1] {
+            root_matches_cis(&roots, 1 << 20, k);
+        }
+        for _ in 0..20_000 {
+            root_matches_cis(&roots, 1 << 20, rng.gen_range(1 << 20) as usize);
+        }
     }
 
     #[test]

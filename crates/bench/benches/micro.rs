@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator's hot paths: the event queue, the
-//! cache model, the network model, and the two protocols' fundamental
-//! transactions. Uses the std-only timing loop from `ssm_bench::bench`
+//! cache model, the shared store's bulk codec, the network model, and the
+//! two protocols' fundamental transactions. Uses the std-only timing loop from `ssm_bench::bench`
 //! (the hermetic build carries no benchmark-harness dependency).
 //!
 //! Run with `cargo bench -p ssm-bench --bench micro`.
@@ -12,7 +12,7 @@ use ssm_engine::EventQueue;
 use ssm_hlrc::Hlrc;
 use ssm_mem::{Hierarchy, MemConfig};
 use ssm_net::{CommParams, Network};
-use ssm_proto::{Machine, ProtoCosts, Protocol, WorldShape, PAGE_SIZE};
+use ssm_proto::{Machine, ProtoCosts, Protocol, World, WorldShape, PAGE_SIZE};
 use ssm_sc::Sc;
 
 fn machine(n: usize) -> Machine {
@@ -76,6 +76,20 @@ fn main() {
             h.invalidate_range(addr, PAGE_SIZE);
             addr += PAGE_SIZE;
             black_box(addr)
+        });
+    }
+
+    {
+        // The untimed bulk copies behind `read_block`/`write_block`: 2048
+        // `f64`s decoded from or encoded into the shared byte store.
+        let mut world = World::new(16 * 1024);
+        let v = world.alloc_vec::<f64>(2048);
+        let vals: Vec<f64> = (0..2048).map(f64::from).collect();
+        bench("shmem/write_direct_16kb", || {
+            v.write_direct(0, black_box(&vals));
+        });
+        bench("shmem/read_direct_16kb", || {
+            black_box(v.read_direct(0, 2048))
         });
     }
 

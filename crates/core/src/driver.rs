@@ -33,12 +33,12 @@
 //! zero messages marks its pages local for that processor) and revoked
 //! by the machine on protocol invalidation.
 
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
 use ssm_proto::{
-    HintBoard, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape,
-    FLUSH_CAP, FLUSH_END, FLUSH_MISS, FLUSH_SYNC,
+    Flush, HintBoard, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape,
 };
 use ssm_stats::Bucket;
 
@@ -100,7 +100,7 @@ pub fn run_simulation(
         None
     };
 
-    let mut pool: ThreadPool<Op> = match workers {
+    let mut pool: ThreadPool<Op, Flush> = match workers {
         Some(ws) => ThreadPool::with_workers(ws),
         None => ThreadPool::new(),
     };
@@ -122,10 +122,10 @@ pub fn run_simulation(
     // replayed: the received buffer and its cursor.
     let mut queued: Vec<std::vec::IntoIter<Op>> =
         (0..nprocs).map(|_| Vec::new().into_iter()).collect();
-    let mut pick = Pick::default();
+    let mut pick = Pick::new(&m.clock);
     let mut done = 0usize;
     while done < nprocs {
-        let Some(p) = pick.next(&m.clock, |q| state[q] == PState::Ready) else {
+        let Some(p) = pick.next() else {
             let blocked: Vec<String> = (0..nprocs)
                 .filter(|&q| !matches!(state[q], PState::Done))
                 .map(|q| format!("P{q}@{}", m.clock[q]))
@@ -150,11 +150,10 @@ pub fn run_simulation(
                         let c = m.counters_mut(p);
                         c.ops_batched += ops.len() as u64;
                         match cause {
-                            FLUSH_SYNC => c.flush_sync += 1,
-                            FLUSH_MISS => c.flush_miss += 1,
-                            FLUSH_CAP => c.flush_cap += 1,
-                            FLUSH_END => c.flush_end += 1,
-                            other => panic!("unknown batch-flush cause {other}"),
+                            Flush::Sync => c.flush_sync += 1,
+                            Flush::Miss => c.flush_miss += 1,
+                            Flush::Cap => c.flush_cap += 1,
+                            Flush::End => c.flush_end += 1,
                         }
                         queued[p] = ops.into_iter();
                         queued[p].next()
@@ -217,6 +216,7 @@ pub fn run_simulation(
                 }
             }
         }
+        pick.set(p, (state[p] == PState::Ready).then_some(m.clock[p]));
 
         // Deliver protocol wakeups (lock grants, barrier releases).
         for (q, t) in m.take_wakeups() {
@@ -230,7 +230,7 @@ pub fn run_simulation(
             };
             settle(m, q, since, t, bucket_total_before, bucket);
             state[q] = PState::Ready;
-            pick.reset();
+            pick.set(q, Some(m.clock[q]));
         }
     }
 
@@ -263,48 +263,71 @@ pub fn run_simulation(
 /// The scheduler's choice: the ready processor with the smallest
 /// `(clock, pid)`, so ties break toward the lower pid (determinism).
 ///
-/// A step changes only the picked processor's clock and state, so the
-/// pick is kept together with its *rival*, the smallest `(clock, pid)`
-/// among the other ready processors, and reused while it stays ready and
-/// below the rival. A wakeup changes other processors, so it must be
-/// followed by [`Pick::reset`].
-#[derive(Debug, Default)]
+/// The driver keeps one key per processor up to date through
+/// [`Pick::set`]: its clock while it is ready, [`NOT_READY`] otherwise.
+/// The pid is the key's index, not packed into it, so no two pairs can
+/// share a key. A rescan is one pass over the keys in pid order, keeping
+/// the smallest pair and the runner-up with selects, not branches: in that
+/// order a later pair sorts first only on a strictly smaller clock.
+///
+/// The pick is cached with its *rival*, a lower bound on the other
+/// processors' pairs, and reused while its own pair stays below the rival.
+/// A step changes only the picked processor, so the cache usually
+/// survives it; [`Pick::set`] lowers the rival when another processor's
+/// pair drops below it (a pair that rises leaves the bound valid).
+#[derive(Debug)]
 struct Pick {
-    /// The last pick and its rival (`None`: no other processor is ready).
-    cached: Option<(usize, Option<(Cycles, usize)>)>,
+    keys: Vec<Cycles>,
+    /// The last pick and its rival.
+    cached: Option<(usize, (Cycles, usize))>,
 }
 
+/// The key of a processor that is blocked or done. No ready processor has
+/// it: a clock that large would take 2^64 simulated cycles to reach.
+const NOT_READY: Cycles = Cycles::MAX;
+
 impl Pick {
+    /// Every processor ready, at its clock in `clock`.
+    fn new(clock: &[Cycles]) -> Self {
+        Pick {
+            keys: clock.to_vec(),
+            cached: None,
+        }
+    }
+
+    /// Records that processor `p` is ready at `clock`, or not ready
+    /// (`None`). Call it after every change to `p`'s clock or readiness.
+    fn set(&mut self, p: usize, clock: Option<Cycles>) {
+        debug_assert!(
+            clock != Some(NOT_READY),
+            "P{p}'s clock reached the end of time"
+        );
+        let key = clock.unwrap_or(NOT_READY);
+        self.keys[p] = key;
+        if let Some((pick, rival)) = &mut self.cached {
+            if *pick != p {
+                *rival = (*rival).min((key, p));
+            }
+        }
+    }
+
     /// The ready processor with the smallest `(clock, pid)`, or `None` if
-    /// none is ready. Since the previous call, only the processor it
-    /// returned may have changed its clock or readiness, unless
-    /// [`Pick::reset`] was called.
-    fn next(&mut self, clock: &[Cycles], ready: impl Fn(usize) -> bool) -> Option<usize> {
+    /// none is ready.
+    fn next(&mut self) -> Option<usize> {
         if let Some((p, rival)) = self.cached {
-            if ready(p) && rival.is_none_or(|r| (clock[p], p) < r) {
+            if (self.keys[p], p) < rival {
                 return Some(p);
             }
         }
-        let mut best: Option<(Cycles, usize)> = None;
-        let mut rival = None;
-        for key in (0..clock.len())
-            .filter(|&q| ready(q))
-            .map(|q| (clock[q], q))
-        {
-            if best.is_none_or(|b| key < b) {
-                rival = best;
-                best = Some(key);
-            } else if rival.is_none_or(|r| key < r) {
-                rival = Some(key);
-            }
+        let (mut best, mut rival) = ((NOT_READY, 0), (NOT_READY, 0));
+        for (q, &key) in self.keys.iter().enumerate() {
+            let lower = key < best.0;
+            let second = select_unpredictable(key < rival.0, (key, q), rival);
+            rival = select_unpredictable(lower, best, second);
+            best = select_unpredictable(lower, (key, q), best);
         }
-        self.cached = best.map(|(_, p)| (p, rival));
+        self.cached = (best.0 != NOT_READY).then_some((best.1, rival));
         self.cached.map(|(p, _)| p)
-    }
-
-    /// Forgets the cached pick: the next call rescans every processor.
-    fn reset(&mut self) {
-        self.cached = None;
     }
 }
 
@@ -353,8 +376,10 @@ mod tests {
 
     /// The cached pick agrees with a full `(clock, pid)` scan on random
     /// runs of clock advances (often by zero, so clocks tie), blocks,
-    /// wakeups and finishes, obeying the driver's contract: a step changes
-    /// only the picked processor, and a wakeup is followed by a reset.
+    /// wakeups, finishes and moves of other ready processors, on up to 64
+    /// processors. Clocks start at 0 or at 2^60 and above, spread across
+    /// a multiple of 2^48 or 2^63 or near `u64::MAX`, so a key that keeps
+    /// fewer clock or pid bits aliases and fails.
     #[test]
     fn cached_pick_matches_full_scan() {
         #[derive(Clone, Copy, PartialEq)]
@@ -363,14 +388,20 @@ mod tests {
             Blocked,
             Done,
         }
-        for seed in 0..200u64 {
+        for seed in 0..400u64 {
             let mut rng = seed;
-            let n = 1 + (splitmix(&mut rng) % 8) as usize;
-            let mut clock = vec![0 as Cycles; n];
+            let n = 1 + (splitmix(&mut rng) % 64) as usize;
+            let base = match seed % 4 {
+                0 => 0,
+                1 => (1 << 60) + (1 << 48) - 1024,
+                2 => (1 << 63) - 1024,
+                _ => u64::MAX - (1 << 20),
+            };
+            let mut clock: Vec<Cycles> = (0..n).map(|_| base + splitmix(&mut rng) % 2048).collect();
             let mut state = vec![S::Ready; n];
-            let mut pick = Pick::default();
+            let mut pick = Pick::new(&clock);
             for step in 0..2_000 {
-                let got = pick.next(&clock, |q| state[q] == S::Ready);
+                let got = pick.next();
                 let want = (0..n)
                     .filter(|&q| state[q] == S::Ready)
                     .min_by_key(|&q| (clock[q], q));
@@ -382,13 +413,21 @@ mod tests {
                         1 => state[p] = S::Done,
                         k => clock[p] += k % 3,
                     }
+                    pick.set(p, (state[p] == S::Ready).then_some(clock[p]));
                 }
                 let blocked: Vec<usize> = (0..n).filter(|&q| state[q] == S::Blocked).collect();
                 if !blocked.is_empty() && (got.is_none() || (r >> 8).is_multiple_of(4)) {
                     let q = blocked[(r >> 16) as usize % blocked.len()];
                     clock[q] += (r >> 32) % 4;
                     state[q] = S::Ready;
-                    pick.reset();
+                    pick.set(q, Some(clock[q]));
+                }
+                // Another ready processor moves by -2..=2 cycles (the driver
+                // never does this, but `set` allows it).
+                let q = (r >> 40) as usize % n;
+                if (r >> 12).is_multiple_of(8) && state[q] == S::Ready {
+                    clock[q] = (clock[q] + (r >> 48) % 5).saturating_sub(2);
+                    pick.set(q, Some(clock[q]));
                 }
                 if state.iter().all(|&s| s == S::Done) {
                     break;

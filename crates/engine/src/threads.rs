@@ -75,13 +75,13 @@ impl std::fmt::Display for ThreadId {
 
 /// What a resumed thread did with its time slice.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Resumed<R> {
+pub enum Resumed<R, C> {
     /// The thread yielded a simulated operation and is parked again.
     Op(R),
     /// The thread yielded a whole run of operations in one handoff and is
-    /// parked again. The `u32` tag is opaque to the engine: the yielding
+    /// parked again. The tag `C` is opaque to the engine: the yielding
     /// layer uses it to record *why* the run ended (sync, miss, cap, …).
-    Batch(Vec<R>, u32),
+    Batch(Vec<R>, C),
     /// The thread's closure returned; it must not be resumed again.
     Finished,
 }
@@ -123,7 +123,7 @@ mod tests {
     /// What the driver observed for one resume.
     #[derive(Debug, PartialEq)]
     enum Seen {
-        Resumed(Resumed<u32>),
+        Resumed(Resumed<u32, u32>),
         Panicked(String),
     }
 
@@ -140,7 +140,7 @@ mod tests {
 
                 #[test]
                 fn single_thread_round_trip() {
-                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    let mut pool: ThreadPool<u32, u32> = ThreadPool::new();
                     let t = pool.spawn(|y| {
                         for i in 0..5 {
                             y.yield_op(i);
@@ -155,7 +155,7 @@ mod tests {
 
                 #[test]
                 fn batched_yield_round_trip() {
-                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    let mut pool: ThreadPool<u32, u32> = ThreadPool::new();
                     let t = pool.spawn(|y| {
                         y.yield_batch(vec![1, 2, 3], 9);
                         y.yield_op(4);
@@ -169,7 +169,7 @@ mod tests {
 
                 #[test]
                 fn interleaving_is_simulator_controlled() {
-                    let mut pool: ThreadPool<(usize, u32)> = ThreadPool::new();
+                    let mut pool: ThreadPool<(usize, u32), u32> = ThreadPool::new();
                     let a = pool.spawn(|y| {
                         for i in 0..3 {
                             y.yield_op((0, i));
@@ -199,7 +199,7 @@ mod tests {
                     // resumed; resuming each to completion in turn leaves
                     // no overlapping windows, so no update is lost.
                     let counter = Arc::new(AtomicUsize::new(0));
-                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::new();
                     let mut tids = Vec::new();
                     for _ in 0..4 {
                         let c = counter.clone();
@@ -221,7 +221,7 @@ mod tests {
                 fn pools_sharing_a_worker_set_recycle_threads() {
                     let workers = WorkerSet::new();
                     let run_one = |ws: &WorkerSet| {
-                        let mut pool: ThreadPool<u32> = ThreadPool::with_workers(ws.clone());
+                        let mut pool: ThreadPool<u32, u32> = ThreadPool::with_workers(ws.clone());
                         let tids: Vec<ThreadId> =
                             (0..3).map(|i| pool.spawn(move |y| y.yield_op(i))).collect();
                         for &t in &tids {
@@ -239,7 +239,8 @@ mod tests {
                 fn canceled_threads_return_to_the_worker_set() {
                     let workers = WorkerSet::new();
                     {
-                        let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers.clone());
+                        let mut pool: ThreadPool<(), ()> =
+                            ThreadPool::with_workers(workers.clone());
                         let t = pool.spawn(|y| {
                             y.yield_op(());
                             y.yield_op(());
@@ -248,7 +249,7 @@ mod tests {
                         // Dropped mid-simulation: the parked thread cancels
                         // and its context goes back to the set.
                     }
-                    let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers);
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::with_workers(workers);
                     let t = pool.spawn(|y| y.yield_op(()));
                     let _ = pool.resume(t);
                     assert_eq!(pool.resume(t), Resumed::Finished);
@@ -260,7 +261,8 @@ mod tests {
                     let workers = WorkerSet::new();
                     let drops = Arc::new(AtomicUsize::new(0));
                     {
-                        let mut pool: ThreadPool<u32> = ThreadPool::with_workers(workers.clone());
+                        let mut pool: ThreadPool<u32, u32> =
+                            ThreadPool::with_workers(workers.clone());
                         for i in 0..4 {
                             let guard = DropCount(drops.clone());
                             pool.spawn(move |y| {
@@ -282,7 +284,7 @@ mod tests {
                     // Three started threads drop two guards each, the
                     // unstarted one only its captured guard.
                     assert_eq!(drops.load(Ordering::SeqCst), 3 * 2 + 1);
-                    let mut pool: ThreadPool<()> = ThreadPool::with_workers(workers);
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::with_workers(workers);
                     for _ in 0..4 {
                         pool.spawn(|_| {});
                     }
@@ -292,7 +294,7 @@ mod tests {
                 #[test]
                 #[should_panic(expected = "simulated thread T0 panicked: boom")]
                 fn app_panic_propagates() {
-                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::new();
                     let t = pool.spawn(|y| {
                         y.yield_op(());
                         panic!("boom");
@@ -306,7 +308,7 @@ mod tests {
                     let drops = Arc::new(AtomicUsize::new(0));
                     let d = drops.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
-                        let mut pool: ThreadPool<()> = ThreadPool::new();
+                        let mut pool: ThreadPool<(), ()> = ThreadPool::new();
                         for _ in 0..3 {
                             let guard = DropCount(d.clone());
                             let t = pool.spawn(move |y| {
@@ -326,7 +328,7 @@ mod tests {
 
                 #[test]
                 fn drop_with_parked_threads_does_not_hang() {
-                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::new();
                     let t = pool.spawn(|y| {
                         y.yield_op(());
                         y.yield_op(());
@@ -340,7 +342,7 @@ mod tests {
                     use std::sync::atomic::AtomicBool;
                     let ran = Arc::new(AtomicBool::new(false));
                     let r = ran.clone();
-                    let mut pool: ThreadPool<()> = ThreadPool::new();
+                    let mut pool: ThreadPool<(), ()> = ThreadPool::new();
                     let t = pool.spawn(move |_| {
                         r.store(true, Ordering::SeqCst);
                     });
@@ -361,7 +363,7 @@ mod tests {
                 ) -> (Vec<(usize, Seen)>, usize) {
                     let drops = Arc::new(AtomicUsize::new(0));
                     let mut seen = Vec::new();
-                    let mut pool: ThreadPool<u32> = ThreadPool::new();
+                    let mut pool: ThreadPool<u32, u32> = ThreadPool::new();
                     for script in scripts {
                         let script = script.clone();
                         let guard = DropCount(drops.clone());

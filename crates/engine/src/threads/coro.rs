@@ -19,17 +19,17 @@ use crate::fiber::{Exit, Fiber, Stack, Suspender};
 use crate::workers::WorkerSet;
 
 /// What a suspended fiber leaves for [`ThreadPool::resume`].
-type Mailbox<R> = Rc<Cell<Option<Resumed<R>>>>;
+type Mailbox<R, C> = Rc<Cell<Option<Resumed<R, C>>>>;
 
 /// The application-side handle: lets application code hand operations to the
 /// simulator. One `Yielder` is passed to each spawned closure.
-pub struct Yielder<R> {
+pub struct Yielder<R, C> {
     tid: ThreadId,
     suspender: Suspender,
-    mailbox: Mailbox<R>,
+    mailbox: Mailbox<R, C>,
 }
 
-impl<R> Yielder<R> {
+impl<R, C> Yielder<R, C> {
     /// This thread's id (equals its simulated processor number).
     pub fn tid(&self) -> ThreadId {
         self.tid
@@ -54,11 +54,11 @@ impl<R> Yielder<R> {
     /// # Panics
     ///
     /// As [`Yielder::yield_op`].
-    pub fn yield_batch(&self, ops: Vec<R>, tag: u32) {
+    pub fn yield_batch(&self, ops: Vec<R>, tag: C) {
         self.hand_over(Resumed::Batch(ops, tag));
     }
 
-    fn hand_over(&self, msg: Resumed<R>) {
+    fn hand_over(&self, msg: Resumed<R, C>) {
         self.mailbox.set(Some(msg));
         self.suspender.suspend();
     }
@@ -76,7 +76,7 @@ struct Slot {
 /// ```rust
 /// use ssm_engine::{ThreadPool, Resumed};
 ///
-/// let mut pool: ThreadPool<u32> = ThreadPool::new();
+/// let mut pool: ThreadPool<u32, u32> = ThreadPool::new();
 /// let a = pool.spawn(|y| {
 ///     y.yield_op(1);
 ///     y.yield_batch(vec![2, 3], 7);
@@ -85,15 +85,15 @@ struct Slot {
 /// assert_eq!(pool.resume(a), Resumed::Batch(vec![2, 3], 7));
 /// assert_eq!(pool.resume(a), Resumed::Finished);
 /// ```
-pub struct ThreadPool<R> {
+pub struct ThreadPool<R, C> {
     slots: Vec<Slot>,
-    mailbox: Mailbox<R>,
+    mailbox: Mailbox<R, C>,
     workers: WorkerSet,
     spawned: usize,
     reused: usize,
 }
 
-impl<R: Send + 'static> ThreadPool<R> {
+impl<R: Send + 'static, C: Send + 'static> ThreadPool<R, C> {
     /// Creates an empty pool with a private [`WorkerSet`]. Application
     /// threads get an 8 MiB stack (recursive applications such as
     /// Barnes-Hut need more than a small default).
@@ -117,7 +117,7 @@ impl<R: Send + 'static> ThreadPool<R> {
     /// Spawns `f` parked: it will not execute until first resumed.
     pub fn spawn<F>(&mut self, f: F) -> ThreadId
     where
-        F: FnOnce(&Yielder<R>) + Send + 'static,
+        F: FnOnce(&Yielder<R, C>) + Send + 'static,
     {
         let tid = ThreadId(self.slots.len());
         let stack = match self.workers.take_stack() {
@@ -177,7 +177,7 @@ impl<R: Send + 'static> ThreadPool<R> {
     /// * if `tid` already finished,
     /// * if the application thread panicked — the panic message is rethrown
     ///   here, prefixed with the thread id.
-    pub fn resume(&mut self, tid: ThreadId) -> Resumed<R> {
+    pub fn resume(&mut self, tid: ThreadId) -> Resumed<R, C> {
         let slot = &mut self.slots[tid.0];
         assert!(!slot.finished, "resumed finished thread {tid}");
         match slot.fiber.resume() {
@@ -196,13 +196,13 @@ impl<R: Send + 'static> ThreadPool<R> {
     }
 }
 
-impl<R: Send + 'static> Default for ThreadPool<R> {
+impl<R: Send + 'static, C: Send + 'static> Default for ThreadPool<R, C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<R> Drop for ThreadPool<R> {
+impl<R, C> Drop for ThreadPool<R, C> {
     fn drop(&mut self) {
         // Cancel every parked thread (its closure unwinds from the pending
         // yield, running destructors on its own stack) and park the stacks
@@ -213,7 +213,7 @@ impl<R> Drop for ThreadPool<R> {
     }
 }
 
-impl<R> std::fmt::Debug for ThreadPool<R> {
+impl<R, C> std::fmt::Debug for ThreadPool<R, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("threads", &self.slots.len())

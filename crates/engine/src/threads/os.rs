@@ -18,9 +18,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use super::{panic_text, Resumed, ThreadId};
 use crate::workers::{Completion, WorkerSet};
 
-enum Req<R> {
+enum Req<R, C> {
     Op(R),
-    Batch(Vec<R>, u32),
+    Batch(Vec<R>, C),
     Finished,
     Panicked(String),
 }
@@ -31,13 +31,13 @@ struct Canceled;
 
 /// The application-side handle: lets application code hand operations to the
 /// simulator. One `Yielder` is passed to each spawned closure.
-pub struct Yielder<R> {
+pub struct Yielder<R, C> {
     tid: ThreadId,
     resume_rx: Receiver<()>,
-    req_tx: Sender<(ThreadId, Req<R>)>,
+    req_tx: Sender<(ThreadId, Req<R, C>)>,
 }
 
-impl<R> Yielder<R> {
+impl<R, C> Yielder<R, C> {
     /// This thread's id (equals its simulated processor number).
     pub fn tid(&self) -> ThreadId {
         self.tid
@@ -62,11 +62,11 @@ impl<R> Yielder<R> {
     /// # Panics
     ///
     /// As [`Yielder::yield_op`].
-    pub fn yield_batch(&self, ops: Vec<R>, tag: u32) {
+    pub fn yield_batch(&self, ops: Vec<R>, tag: C) {
         self.hand_over(Req::Batch(ops, tag));
     }
 
-    fn hand_over(&self, req: Req<R>) {
+    fn hand_over(&self, req: Req<R, C>) {
         if self.req_tx.send((self.tid, req)).is_err() || self.resume_rx.recv().is_err() {
             panic::resume_unwind(Box::new(Canceled));
         }
@@ -121,7 +121,7 @@ impl PendingJobs {
 /// use ssm_engine::threads::os::ThreadPool;
 /// use ssm_engine::Resumed;
 ///
-/// let mut pool: ThreadPool<u32> = ThreadPool::new();
+/// let mut pool: ThreadPool<u32, u32> = ThreadPool::new();
 /// let a = pool.spawn(|y| {
 ///     y.yield_op(1);
 ///     y.yield_batch(vec![2, 3], 7);
@@ -130,17 +130,17 @@ impl PendingJobs {
 /// assert_eq!(pool.resume(a), Resumed::Batch(vec![2, 3], 7));
 /// assert_eq!(pool.resume(a), Resumed::Finished);
 /// ```
-pub struct ThreadPool<R> {
+pub struct ThreadPool<R, C> {
     slots: Vec<Slot>,
-    req_rx: Receiver<(ThreadId, Req<R>)>,
-    req_tx: Sender<(ThreadId, Req<R>)>,
+    req_rx: Receiver<(ThreadId, Req<R, C>)>,
+    req_tx: Sender<(ThreadId, Req<R, C>)>,
     workers: WorkerSet,
     pending: Arc<PendingJobs>,
     spawned: usize,
     reused: usize,
 }
 
-impl<R: Send + 'static> ThreadPool<R> {
+impl<R: Send + 'static, C: Send + 'static> ThreadPool<R, C> {
     /// Creates an empty pool with a private [`WorkerSet`]. Application
     /// threads get an 8 MiB stack (recursive applications such as
     /// Barnes-Hut need more than the platform default for spawned
@@ -168,7 +168,7 @@ impl<R: Send + 'static> ThreadPool<R> {
     /// Spawns `f` parked: it will not execute until first resumed.
     pub fn spawn<F>(&mut self, f: F) -> ThreadId
     where
-        F: FnOnce(&Yielder<R>) + Send + 'static,
+        F: FnOnce(&Yielder<R, C>) + Send + 'static,
     {
         let tid = ThreadId(self.slots.len());
         let (resume_tx, resume_rx) = channel();
@@ -244,7 +244,7 @@ impl<R: Send + 'static> ThreadPool<R> {
     /// * if `tid` already finished,
     /// * if the application thread panicked — the panic message is rethrown
     ///   here, prefixed with the thread id.
-    pub fn resume(&mut self, tid: ThreadId) -> Resumed<R> {
+    pub fn resume(&mut self, tid: ThreadId) -> Resumed<R, C> {
         let slot = &mut self.slots[tid.0];
         assert!(!slot.finished, "resumed finished thread {tid}");
         slot.resume_tx
@@ -270,13 +270,13 @@ impl<R: Send + 'static> ThreadPool<R> {
     }
 }
 
-impl<R: Send + 'static> Default for ThreadPool<R> {
+impl<R: Send + 'static, C: Send + 'static> Default for ThreadPool<R, C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<R> Drop for ThreadPool<R> {
+impl<R, C> Drop for ThreadPool<R, C> {
     fn drop(&mut self) {
         // Wake every parked thread with a closed channel so it cancels
         // itself, then wait for all of this pool's jobs to retire — after
@@ -291,7 +291,7 @@ impl<R> Drop for ThreadPool<R> {
     }
 }
 
-impl<R> std::fmt::Debug for ThreadPool<R> {
+impl<R, C> std::fmt::Debug for ThreadPool<R, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("threads", &self.slots.len())

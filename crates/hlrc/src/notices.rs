@@ -8,8 +8,6 @@
 //! receives exactly the write notices of the intervals it has not yet seen
 //! (up to the grantor's timestamp) and invalidates those pages.
 
-use std::collections::BTreeSet;
-
 /// A vector timestamp: `vt[i]` = number of node `i`'s intervals covered.
 pub type VectorTime = Vec<u64>;
 
@@ -58,11 +56,11 @@ impl NoticeBoard {
     /// Delivers to `node` the write notices of every interval between its
     /// own timestamp and `target`, advancing its timestamp.
     ///
-    /// Returns `(pages, raw_count)`: the deduplicated page set to
-    /// invalidate, and the raw number of notices (which is what handler
-    /// list-traversal costs scale with).
+    /// Returns `(pages, raw_count)`: the deduplicated pages to invalidate,
+    /// in ascending order, and the raw number of notices (which is what
+    /// handler list-traversal costs scale with).
     pub fn collect(&mut self, node: usize, target: &[u64]) -> (Vec<u64>, u64) {
-        let mut pages = BTreeSet::new();
+        let mut pages = Vec::new();
         let mut raw = 0u64;
         for (i, ivs) in self.intervals.iter().enumerate() {
             if i == node {
@@ -73,13 +71,15 @@ impl NoticeBoard {
             for k in from..to {
                 let notice_pages = &ivs[k as usize];
                 raw += notice_pages.len() as u64;
-                pages.extend(notice_pages.iter().copied());
+                pages.extend_from_slice(notice_pages);
             }
             if to > from {
                 self.seen[node][i] = to;
             }
         }
-        (pages.into_iter().collect(), raw)
+        pages.sort_unstable();
+        pages.dedup();
+        (pages, raw)
     }
 
     /// Number of intervals recorded by `node`.
@@ -122,6 +122,18 @@ mod tests {
         let (pages, raw) = b.collect(1, &target);
         assert!(pages.is_empty());
         assert_eq!(raw, 0);
+    }
+
+    #[test]
+    fn collect_merges_writers_in_ascending_order() {
+        let mut b = NoticeBoard::new(3);
+        b.record_interval(2, vec![9, 3]);
+        b.record_interval(0, vec![5, 3, 1]);
+        b.record_interval(2, vec![1, 12]);
+        let target = b.global_vt();
+        let (pages, raw) = b.collect(1, &target);
+        assert_eq!(pages, vec![1, 3, 5, 9, 12]);
+        assert_eq!(raw, 7);
     }
 
     #[test]

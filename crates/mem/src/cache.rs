@@ -132,7 +132,7 @@ impl Cache {
     /// Looks up `addr` and, on a miss, installs its line, in one scan of
     /// its set. Either way the line ends most-recently-used, with `dirty`
     /// ORed into its dirty bit.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, dirty: bool) -> Access {
         let (i, tag) = self.locate(addr);
         with_sets!(&mut self.sets, |s| access(&mut s[i], tag, dirty))
@@ -161,6 +161,9 @@ impl Cache {
     /// writeback: the contents are assumed stale); returns how many were.
     /// Consecutive lines under one tag map to consecutive sets until the
     /// set index wraps, so each such run is one scan over a slice of sets.
+    /// Most runs hold no resident line, so every slot of a run is first
+    /// compared with the tag in one pass with no early exit (a loop that
+    /// vectorises), and the run's sets are edited only on a match.
     pub fn invalidate_range(&mut self, addr: u64, len: u64) -> usize {
         if len == 0 {
             return 0;
@@ -172,10 +175,16 @@ impl Cache {
             let run_end = last.min(line | self.set_mask);
             let (first_set, tag) = self.locate(line << self.line_shift);
             let run = first_set..=first_set + (run_end - line) as usize;
-            removed += with_sets!(&mut self.sets, |s| s[run]
-                .iter_mut()
-                .map(|set| usize::from(invalidate(set, tag)))
-                .sum::<usize>());
+            removed += with_sets!(&mut self.sets, |s| {
+                let sets = &mut s[run];
+                if holds(sets, tag) {
+                    sets.iter_mut()
+                        .map(|set| usize::from(invalidate(set, tag)))
+                        .sum::<usize>()
+                } else {
+                    0
+                }
+            });
             if run_end == last {
                 return removed;
             }
@@ -212,6 +221,15 @@ fn access<const W: usize>(set: &mut [u64; W], tag: u64, dirty: bool) -> Access {
     set.copy_within(0..W - 1, 1);
     set[0] = tag << 1 | u64::from(dirty);
     Access::Miss((victim != EMPTY).then_some(victim & 1 == 1))
+}
+
+/// Whether any slot of `sets` holds `tag`. Every slot is compared, with no
+/// early exit, so the loop vectorises.
+#[inline]
+fn holds<const W: usize>(sets: &[[u64; W]], tag: u64) -> bool {
+    sets.as_flattened()
+        .iter()
+        .fold(false, |any, &slot| any | (slot >> 1 == tag))
 }
 
 /// [`Cache::invalidate_range`] on one set: removes `tag`, closing the gap so the
@@ -334,7 +352,8 @@ mod tests {
             let mut reference = RefCache::new(cfg);
             let mut rng = seed;
             let line = cfg.line as u64;
-            let set_mask = cfg.sets() as u64 - 1;
+            let nsets = cfg.sets() as u64;
+            let set_mask = nsets - 1;
             // Addresses span 4x the capacity so sets overflow and evict.
             let span = 4 * cfg.size as u64;
             let enc = |e: Option<bool>| e.map_or(0, |d| 1 + d as usize);
@@ -342,7 +361,7 @@ mod tests {
                 let r = splitmix(&mut rng);
                 let addr = (r >> 8) % span;
                 let flag = r & 1 == 1;
-                let (got, want) = match (r >> 1) % 5 {
+                let (got, want) = match (r >> 1) % 7 {
                     0 => (
                         packed.probe(addr, flag) as usize,
                         reference.probe(addr, flag) as usize,
@@ -366,6 +385,46 @@ mod tests {
                         packed.invalidate_range(addr, 1),
                         reference.invalidate(addr) as usize,
                     ),
+                    k @ (5 | 6) => {
+                        // A wrap-free run of up to 16 lines, emptied, whose
+                        // sets then get lines of other tags. Case 5 leaves
+                        // the run without a resident line, so `holds` must
+                        // reject it; case 6 first puts the run's last line
+                        // back and pushes it to the last slot of its set.
+                        let len = 1 + (r >> 40) % nsets.min(16);
+                        let idx = (addr / line) & set_mask;
+                        let first = addr / line - idx + idx.min(nsets - len);
+                        let (start, bytes) = (first * line, len * line);
+                        let cleared = (first..first + len)
+                            .filter(|l| reference.invalidate(l * line))
+                            .count();
+                        assert_eq!(packed.invalidate_range(start, bytes), cleared);
+                        let lines = first..first + len;
+                        let others: Vec<u64> = if k == 6 {
+                            let last = first + len - 1;
+                            let a = last * line;
+                            assert_eq!(packed.fill(a, flag), reference.fill(a, flag));
+                            (1..cfg.assoc as u64).map(|w| last + w * nsets).collect()
+                        } else {
+                            lines
+                                .filter(|l| l % 3 != r % 3)
+                                .map(|l| l + nsets)
+                                .collect()
+                        };
+                        for a in others.into_iter().map(|l| l * line) {
+                            assert_eq!(packed.fill(a, flag), reference.fill(a, flag));
+                        }
+                        let (set, tag) = packed.locate(start);
+                        let run = set..set + len as usize;
+                        let held = with_sets!(&packed.sets, |s| holds(&s[run], tag));
+                        assert_eq!(held, k == 6, "{cfg:?}: step {step}, run at {start:#x}");
+                        (
+                            packed.invalidate_range(start, bytes),
+                            (first..first + len)
+                                .filter(|l| reference.invalidate(l * line))
+                                .count(),
+                        )
+                    }
                     _ => {
                         // A range starting up to 15 lines before a set-index
                         // wrap and up to 48 lines long, at any byte offset.

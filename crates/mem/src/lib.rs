@@ -180,6 +180,7 @@ impl Hierarchy {
 
     /// Models a processor *read* of the line containing `addr`; returns the
     /// stall cycles beyond the 1-IPC pipeline.
+    #[inline(always)]
     pub fn read(&mut self, now: Cycles, addr: u64) -> Cycles {
         match self.l1.access(addr, false) {
             Access::Hit => 0,
@@ -189,6 +190,7 @@ impl Hierarchy {
 
     /// Models a processor *write*; returns stall cycles. Writes retire
     /// through the write buffer, so they stall only when the buffer is full.
+    #[inline(always)]
     pub fn write(&mut self, now: Cycles, addr: u64) -> Cycles {
         // Retire completed buffered writes.
         while self.wb.front().is_some_and(|&t| t <= now) {

@@ -33,7 +33,7 @@ pub use machine::{Machine, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
 pub use sync::{BarrierTable, Episode, LockTable, SendFrom, SyncManager};
-pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_MISS, FLUSH_SYNC};
+pub use vm::{Flush, Op, Proc, BATCH_CAP};
 pub use workload::{ThreadBody, Workload};
 
 /// Page size of the shared virtual memory system (bytes).

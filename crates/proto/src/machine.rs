@@ -315,6 +315,7 @@ impl Machine {
     }
 
     /// Per-processor execution-time breakdowns.
+    #[inline]
     pub fn breakdowns(&self) -> &[Breakdown] {
         &self.breakdown
     }
@@ -325,16 +326,19 @@ impl Machine {
     }
 
     /// Per-processor raw event counters.
+    #[inline]
     pub fn counters(&self) -> &[Counters] {
         &self.counters
     }
 
     /// Mutable access to one processor's counters.
+    #[inline]
     pub fn counters_mut(&mut self, p: usize) -> &mut Counters {
         &mut self.counters[p]
     }
 
     /// Charges `cycles` to `bucket` on processor `p` (no CPU occupancy).
+    #[inline]
     pub fn charge(&mut self, p: usize, bucket: Bucket, cycles: Cycles) {
         self.breakdown[p].add(bucket, cycles);
     }

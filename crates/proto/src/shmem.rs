@@ -155,18 +155,22 @@ mod private {
 macro_rules! impl_scalar {
     ($($t:ty),*) => {$(
         impl private::Sealed for $t {
+            #[inline]
             fn decode(bytes: &[u8]) -> Self {
                 <$t>::from_le_bytes(bytes.try_into().expect("scalar width"))
             }
+            #[inline]
             fn encode(self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
         }
         impl Scalar for $t {
             const BYTES: u64 = std::mem::size_of::<$t>() as u64;
+            #[inline]
             fn load(mem: &SharedMem, addr: u64) -> Self {
                 mem.with_bytes(addr, Self::BYTES as usize, <$t as private::Sealed>::decode)
             }
+            #[inline]
             fn store(self, mem: &SharedMem, addr: u64) {
                 mem.with_bytes_mut(addr, Self::BYTES as usize, |b| {
                     <$t as private::Sealed>::encode(self, b)

@@ -20,11 +20,11 @@
 //! is flushed — one baton handoff — when:
 //!
 //! * a **sync** operation is issued (`Lock`, `Barrier`): the thread must
-//!   block until the simulator grants it ([`FLUSH_SYNC`]);
+//!   block until the simulator grants it ([`Flush::Sync`]);
 //! * a read/write **misses** in the hints: the thread blocks so the hint
-//!   is fresh when it resumes ([`FLUSH_MISS`]);
-//! * the batch reaches [`BATCH_CAP`] operations ([`FLUSH_CAP`]);
-//! * the thread body returns ([`FLUSH_END`]).
+//!   is fresh when it resumes ([`Flush::Miss`]);
+//! * the batch reaches [`BATCH_CAP`] operations ([`Flush::Cap`]);
+//! * the thread body returns ([`Flush::End`]).
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -56,14 +56,19 @@ pub enum Op {
 /// ahead of simulated time.
 pub const BATCH_CAP: usize = 256;
 
-/// Batch-flush cause: a sync operation (`Lock`/`Barrier`) ended the run.
-pub const FLUSH_SYNC: u32 = 0;
-/// Batch-flush cause: a read/write missed in the locality hints.
-pub const FLUSH_MISS: u32 = 1;
-/// Batch-flush cause: the batch reached [`BATCH_CAP`] operations.
-pub const FLUSH_CAP: u32 = 2;
-/// Batch-flush cause: the thread body returned.
-pub const FLUSH_END: u32 = 3;
+/// Why a batch was handed over: the tag of its
+/// [`ssm_engine::Resumed::Batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flush {
+    /// A sync operation (`Lock`/`Barrier`) ended the run.
+    Sync,
+    /// A read/write missed in the locality hints.
+    Miss,
+    /// The batch reached [`BATCH_CAP`] operations.
+    Cap,
+    /// The thread body returned.
+    End,
+}
 
 /// Batching state, present only when the driver installs a hint board.
 struct BatchState {
@@ -73,7 +78,7 @@ struct BatchState {
 
 /// The per-processor handle passed to application code.
 pub struct Proc<'a> {
-    y: &'a Yielder<Op>,
+    y: &'a Yielder<Op, Flush>,
     pid: usize,
     nprocs: usize,
     pending: Cell<u64>,
@@ -83,7 +88,7 @@ pub struct Proc<'a> {
 impl<'a> Proc<'a> {
     /// Wraps a yielder; used by the simulation driver when spawning
     /// application threads. Every operation is one baton handoff.
-    pub fn new(y: &'a Yielder<Op>, pid: usize, nprocs: usize) -> Self {
+    pub fn new(y: &'a Yielder<Op, Flush>, pid: usize, nprocs: usize) -> Self {
         Proc {
             y,
             pid,
@@ -96,7 +101,12 @@ impl<'a> Proc<'a> {
     /// Like [`Proc::new`], but accumulates hint-predicted-local operations
     /// into batches (see module docs). Simulated results are identical;
     /// only the number of baton handoffs changes.
-    pub fn batched(y: &'a Yielder<Op>, pid: usize, nprocs: usize, board: Arc<HintBoard>) -> Self {
+    pub fn batched(
+        y: &'a Yielder<Op, Flush>,
+        pid: usize,
+        nprocs: usize,
+        board: Arc<HintBoard>,
+    ) -> Self {
         Proc {
             y,
             pid,
@@ -146,14 +156,14 @@ impl<'a> Proc<'a> {
         if ops.len() >= BATCH_CAP {
             let batch = std::mem::take(&mut *ops);
             drop(ops);
-            self.y.yield_batch(batch, FLUSH_CAP);
+            self.y.yield_batch(batch, Flush::Cap);
         }
     }
 
     /// Buffers `op` as the *last* operation of the current batch and hands
     /// the whole run over; the thread blocks until the simulator has
     /// replayed every buffered operation.
-    fn seal(&self, b: &BatchState, op: Op, cause: u32) {
+    fn seal(&self, b: &BatchState, op: Op, cause: Flush) {
         let mut batch = std::mem::take(&mut *b.ops.borrow_mut());
         batch.push(op);
         self.y.yield_batch(batch, cause);
@@ -166,7 +176,7 @@ impl<'a> Proc<'a> {
         match &self.batch {
             None => self.y.yield_op(op),
             Some(b) if b.board.predicts_read_hit(self.pid, addr, bytes) => self.buffer(b, op),
-            Some(b) => self.seal(b, op, FLUSH_MISS),
+            Some(b) => self.seal(b, op, Flush::Miss),
         }
     }
 
@@ -177,7 +187,7 @@ impl<'a> Proc<'a> {
         match &self.batch {
             None => self.y.yield_op(op),
             Some(b) if b.board.predicts_write_hit(self.pid, addr, bytes) => self.buffer(b, op),
-            Some(b) => self.seal(b, op, FLUSH_MISS),
+            Some(b) => self.seal(b, op, Flush::Miss),
         }
     }
 
@@ -187,7 +197,7 @@ impl<'a> Proc<'a> {
         let op = Op::Lock(lock);
         match &self.batch {
             None => self.y.yield_op(op),
-            Some(b) => self.seal(b, op, FLUSH_SYNC),
+            Some(b) => self.seal(b, op, Flush::Sync),
         }
     }
 
@@ -209,7 +219,7 @@ impl<'a> Proc<'a> {
         let op = Op::Barrier(barrier);
         match &self.batch {
             None => self.y.yield_op(op),
-            Some(b) => self.seal(b, op, FLUSH_SYNC),
+            Some(b) => self.seal(b, op, Flush::Sync),
         }
     }
 
@@ -221,7 +231,7 @@ impl<'a> Proc<'a> {
         if let Some(b) = &self.batch {
             let batch = std::mem::take(&mut *b.ops.borrow_mut());
             if !batch.is_empty() {
-                self.y.yield_batch(batch, FLUSH_END);
+                self.y.yield_batch(batch, Flush::End);
             }
         }
     }
@@ -252,7 +262,7 @@ mod tests {
 
     #[test]
     fn compute_batches_until_flush() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(|y| {
             let p = Proc::new(y, 0, 1);
             p.compute(10);
@@ -269,7 +279,7 @@ mod tests {
 
     #[test]
     fn lock_ops_in_order() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(|y| {
             let p = Proc::new(y, 2, 4);
             assert_eq!(p.pid(), 2);
@@ -285,7 +295,7 @@ mod tests {
 
     #[test]
     fn zero_compute_is_elided() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(|y| {
             let p = Proc::new(y, 0, 1);
             p.compute(0);
@@ -300,7 +310,7 @@ mod tests {
         let board = Arc::new(HintBoard::new(1, 1 << 16));
         board.observe_local(0, 0, crate::PAGE_SIZE, true); // page 0: read+write local
         let b = board.clone();
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(move |y| {
             let p = Proc::batched(y, 0, 1, b);
             p.compute(10);
@@ -321,7 +331,7 @@ mod tests {
                         bytes: 4
                     },
                 ],
-                FLUSH_MISS
+                Flush::Miss
             )
         );
         assert_eq!(pool.resume(t), Resumed::Finished);
@@ -331,7 +341,7 @@ mod tests {
     fn sync_ops_seal_and_unlock_batches() {
         let board = Arc::new(HintBoard::new(1, 1 << 16));
         let b = board.clone();
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(move |y| {
             let p = Proc::batched(y, 0, 1, b);
             p.compute(5);
@@ -344,7 +354,7 @@ mod tests {
         });
         assert_eq!(
             pool.resume(t),
-            Resumed::Batch(vec![Op::Compute(5), Op::Lock(LockId(1))], FLUSH_SYNC)
+            Resumed::Batch(vec![Op::Compute(5), Op::Lock(LockId(1))], Flush::Sync)
         );
         assert_eq!(
             pool.resume(t),
@@ -354,12 +364,12 @@ mod tests {
                     Op::Unlock(LockId(1)),
                     Op::Barrier(BarrierId(0)),
                 ],
-                FLUSH_SYNC
+                Flush::Sync
             )
         );
         assert_eq!(
             pool.resume(t),
-            Resumed::Batch(vec![Op::Compute(1)], FLUSH_END)
+            Resumed::Batch(vec![Op::Compute(1)], Flush::End)
         );
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
@@ -369,7 +379,7 @@ mod tests {
         let board = Arc::new(HintBoard::new(1, 1 << 16));
         board.observe_local(0, 0, crate::PAGE_SIZE, false);
         let b = board.clone();
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(move |y| {
             let p = Proc::batched(y, 0, 1, b);
             for _ in 0..BATCH_CAP + 1 {
@@ -380,13 +390,13 @@ mod tests {
         match pool.resume(t) {
             Resumed::Batch(ops, cause) => {
                 assert_eq!(ops.len(), BATCH_CAP);
-                assert_eq!(cause, FLUSH_CAP);
+                assert_eq!(cause, Flush::Cap);
             }
             other => panic!("expected CAP batch, got {other:?}"),
         }
         assert_eq!(
             pool.resume(t),
-            Resumed::Batch(vec![Op::Read { addr: 0, bytes: 4 }], FLUSH_END)
+            Resumed::Batch(vec![Op::Read { addr: 0, bytes: 4 }], Flush::End)
         );
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
@@ -395,7 +405,7 @@ mod tests {
     fn empty_finish_yields_nothing() {
         let board = Arc::new(HintBoard::new(1, 1 << 16));
         let b = board.clone();
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool: ThreadPool<Op, Flush> = ThreadPool::new();
         let t = pool.spawn(move |y| {
             let p = Proc::batched(y, 0, 1, b);
             p.finish();

@@ -103,6 +103,7 @@ impl Breakdown {
     }
 
     /// Adds `cycles` to `bucket`.
+    #[inline]
     pub fn add(&mut self, bucket: Bucket, cycles: u64) {
         self.cycles[bucket.index()] += cycles;
     }
@@ -113,6 +114,7 @@ impl Breakdown {
     }
 
     /// Sum over all buckets.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.cycles.iter().sum()
     }
