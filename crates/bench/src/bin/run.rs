@@ -14,6 +14,7 @@ use ssm_apps::catalog::{by_name, suite};
 use ssm_core::{CommPreset, LayerConfig, ProtoPreset, Protocol};
 use ssm_proto::HomePolicy;
 use ssm_stats::{Bucket, Table};
+use ssm_sweep::homes_from_label;
 use ssm_sweep::prelude::*;
 
 fn usage() -> ! {
@@ -45,41 +46,19 @@ fn parse() -> (SweepCli, Extra) {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match flag {
             "--protocol" => {
-                x.protocol = Some(match val().as_str() {
-                    "hlrc" => Protocol::Hlrc,
-                    "aurc" => Protocol::Aurc,
-                    "sc" => Protocol::Sc,
-                    "sc-delayed" => Protocol::ScDelayed,
-                    "rdma" => Protocol::Rdma,
-                    "ideal" => Protocol::Ideal,
-                    _ => usage(),
-                })
+                let v = val();
+                x.protocol = Some(
+                    Protocol::ALL
+                        .into_iter()
+                        .find(|p| p.label().eq_ignore_ascii_case(&v))
+                        .unwrap_or_else(|| usage()),
+                )
             }
-            "--comm" => {
-                x.comm = Some(match val().as_str() {
-                    "A" => CommPreset::Achievable,
-                    "B" => CommPreset::Best,
-                    "B+" => CommPreset::BetterThanBest,
-                    "H" => CommPreset::Halfway,
-                    "W" => CommPreset::Worse,
-                    _ => usage(),
-                })
-            }
+            "--comm" => x.comm = Some(CommPreset::from_label(&val()).unwrap_or_else(|_| usage())),
             "--proto" => {
-                x.proto = Some(match val().as_str() {
-                    "O" => ProtoPreset::Original,
-                    "H" => ProtoPreset::Halfway,
-                    "B" => ProtoPreset::Best,
-                    _ => usage(),
-                })
+                x.proto = Some(ProtoPreset::from_label(&val()).unwrap_or_else(|_| usage()))
             }
-            "--homes" => {
-                x.homes = Some(match val().as_str() {
-                    "rr" => HomePolicy::RoundRobin,
-                    "first-touch" => HomePolicy::FirstTouch,
-                    _ => usage(),
-                })
-            }
+            "--homes" => x.homes = Some(homes_from_label(&val()).unwrap_or_else(|_| usage())),
             "--block" => x.sc_block = Some(val().parse().unwrap_or_else(|_| usage())),
             "--breakdown" => x.breakdown = true,
             "--counters" => x.counters = true,

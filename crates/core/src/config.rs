@@ -167,12 +167,6 @@ impl LayerConfig {
         ))
     }
 
-    /// Alias of [`LayerConfig::parse`], matching the `from_label` naming
-    /// of [`CommPreset`], [`ProtoPreset`] and [`Protocol`].
-    pub fn from_label(label: &str) -> Result<Self, String> {
-        LayerConfig::parse(label)
-    }
-
     /// The same configuration with deterministic fault injection set.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
@@ -379,7 +373,6 @@ mod tests {
         assert_eq!(Protocol::from_label("RDMA"), Ok(Protocol::Rdma));
         for cfg in LayerConfig::full_grid() {
             assert_eq!(LayerConfig::parse(&cfg.label()), Ok(cfg));
-            assert_eq!(LayerConfig::from_label(&cfg.label()), Ok(cfg));
         }
         assert_eq!(
             LayerConfig::parse("B+B"),

@@ -81,11 +81,6 @@ impl NoticeBoard {
         pages.dedup();
         (pages, raw)
     }
-
-    /// Number of intervals recorded by `node`.
-    pub fn interval_count(&self, node: usize) -> usize {
-        self.intervals[node].len()
-    }
 }
 
 #[cfg(test)]
@@ -96,8 +91,8 @@ mod tests {
     fn empty_intervals_are_skipped() {
         let mut b = NoticeBoard::new(2);
         b.record_interval(0, vec![]);
-        assert_eq!(b.interval_count(0), 0);
         assert_eq!(b.vt(0), vec![0, 0]);
+        assert_eq!(b.global_vt(), vec![0, 0]);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl DirtyBits {
     pub fn count(&self) -> u64 {
         self.limbs.iter().map(|l| l.count_ones() as u64).sum()
     }
-
-    /// Whether no word is dirty.
-    pub fn is_clean(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
-    }
 }
 
 impl Default for DirtyBits {
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn dirty_bits_mark_and_count() {
         let mut d = DirtyBits::new();
-        assert!(d.is_clean());
+        assert_eq!(d.count(), 0);
         d.mark(0, 2);
         d.mark(100, 1);
         d.mark(1023, 1);

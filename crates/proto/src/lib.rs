@@ -29,7 +29,7 @@ pub mod workload;
 
 pub use costs::{PerWord, ProtoCosts};
 pub use hint::HintBoard;
-pub use machine::{Machine, TraceEvent};
+pub use machine::{Machine, SendCtx, TraceEvent, TraceKind};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
 pub use sync::{BarrierTable, Episode, LockTable, SendFrom, SyncManager};

@@ -41,9 +41,9 @@ pub enum Activity {
 /// Which execution context initiated a send — it decides how the CPU
 /// cost of a *retransmission* is charged (the first copy's host overhead
 /// is charged by the send method itself, exactly as on the fault-free
-/// path).
+/// path), and it labels the send in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendCtx {
+pub enum SendCtx {
     /// Application-initiated transaction: overhead occupies the CPU with
     /// no bucket charge (the window rule folds it into the operation's
     /// wait bucket).
@@ -89,16 +89,44 @@ struct Reliability {
 const MAX_RETRIES: u32 = 10;
 
 /// One protocol-level event captured when tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated cycle at which the event started.
     pub time: Cycles,
     /// Node the event occurred at.
     pub node: usize,
-    /// Event class ("send", "handle", "proto").
-    pub label: &'static str,
-    /// Free-form detail (destination, byte count, activity…).
-    pub detail: String,
+    /// What happened.
+    pub kind: TraceKind,
+}
+
+/// The class of a [`TraceEvent`], with its parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceKind {
+    /// A logical message of `bytes` to node `dst`, sent from `ctx`.
+    Send {
+        /// The context that initiated the send.
+        ctx: SendCtx,
+        /// Destination node.
+        dst: usize,
+        /// Message size.
+        bytes: u64,
+    },
+    /// A resent copy of a lost message (faults injected only).
+    Retransmit {
+        /// Destination node.
+        dst: usize,
+        /// Message size.
+        bytes: u64,
+        /// Retransmission number, from 1.
+        attempt: u32,
+    },
+    /// A one-sided operation served by the NI.
+    Rdma,
+    /// A request handler dispatched on arrival.
+    Handle {
+        /// List elements the handler traverses.
+        list_elements: u64,
+    },
 }
 
 /// One simulated cluster's mutable state.
@@ -176,11 +204,6 @@ impl Machine {
         });
     }
 
-    /// Whether the reliable-delivery sublayer is armed.
-    pub fn faults_enabled(&self) -> bool {
-        self.rel.is_some()
-    }
-
     /// Injected-fault statistics for `p`'s outgoing messages.
     pub fn fault_stats(&self, p: usize) -> ssm_net::FaultStats {
         self.net.fault_stats(p)
@@ -249,9 +272,15 @@ impl Machine {
             self.counters[src].retransmissions += 1;
             let deadline = send_at + (rto << (attempt - 1).min(16));
             let resume = local_done.max(deadline);
-            self.trace_event(resume, src, "retransmit", || {
-                format!("-> N{dst}, {bytes} B, attempt {attempt}")
-            });
+            self.trace_event(
+                resume,
+                src,
+                TraceKind::Retransmit {
+                    dst,
+                    bytes,
+                    attempt,
+                },
+            );
             local_done = match ctx {
                 SendCtx::App => {
                     self.cpu[src]
@@ -280,23 +309,19 @@ impl Machine {
         self.trace.take().unwrap_or_default()
     }
 
-    /// Records an event if tracing is enabled. `detail` is only evaluated
-    /// when it will be stored.
-    pub fn trace_event(
-        &mut self,
-        time: Cycles,
-        node: usize,
-        label: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
+    /// Records an event if tracing is enabled.
+    fn trace_event(&mut self, time: Cycles, node: usize, kind: TraceKind) {
         if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent {
-                time,
-                node,
-                label,
-                detail: detail(),
-            });
+            t.push(TraceEvent { time, node, kind });
         }
+    }
+
+    /// Counts one logical message from `src` and traces its send.
+    #[inline]
+    fn note_send(&mut self, at: Cycles, src: usize, ctx: SendCtx, dst: usize, bytes: u64) {
+        self.counters[src].messages += 1;
+        self.counters[src].bytes += bytes;
+        self.trace_event(at, src, TraceKind::Send { ctx, dst, bytes });
     }
 
     /// Number of processors.
@@ -435,9 +460,7 @@ impl Machine {
         bytes: u64,
     ) -> (Cycles, Cycles) {
         let (_, t) = self.cpu[src].acquire_span(at, self.comm.host_overhead);
-        self.counters[src].messages += 1;
-        self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || format!("app -> N{dst}, {bytes} B"));
+        self.note_send(at, src, SendCtx::App, dst, bytes);
         if self.rel.is_some() {
             self.transmit_reliably(src, dst, t, bytes, SendCtx::App)
         } else {
@@ -457,9 +480,7 @@ impl Machine {
         bytes: u64,
     ) -> (Cycles, Cycles) {
         let t = self.proto_work(src, at, self.comm.host_overhead, Activity::Handler);
-        self.counters[src].messages += 1;
-        self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || format!("handler -> N{dst}, {bytes} B"));
+        self.note_send(at, src, SendCtx::Handler, dst, bytes);
         if self.rel.is_some() {
             self.transmit_reliably(src, dst, t, bytes, SendCtx::Handler)
         } else {
@@ -472,11 +493,7 @@ impl Machine {
     /// no host CPU involvement at either end — the message only occupies
     /// the NI and buses. Returns the arrival time at `dst`.
     pub fn send_hardware(&mut self, src: usize, at: Cycles, dst: usize, bytes: u64) -> Cycles {
-        self.counters[src].messages += 1;
-        self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || {
-            format!("hw-update -> N{dst}, {bytes} B")
-        });
+        self.note_send(at, src, SendCtx::Hardware, dst, bytes);
         if self.rel.is_some() {
             self.transmit_reliably(src, dst, at, bytes, SendCtx::Hardware)
                 .1
@@ -490,7 +507,7 @@ impl Machine {
     /// and no handler dispatch. Returns the cycle the NI is done serving.
     /// Contends FIFO with ordinary message sends on the same NI.
     pub fn rdma_serve(&mut self, node: usize, at: Cycles) -> Cycles {
-        self.trace_event(at, node, "rdma", || "one-sided service".to_string());
+        self.trace_event(at, node, TraceKind::Rdma);
         self.net.rdma_serve(at, node)
     }
 
@@ -500,9 +517,7 @@ impl Machine {
     /// time on `node`'s CPU. Returns the handler completion time.
     pub fn handle_request(&mut self, node: usize, arrival: Cycles, list_elements: u64) -> Cycles {
         let cost = self.comm.msg_handling + self.costs.handler(list_elements);
-        self.trace_event(arrival, node, "handle", || {
-            format!("request handler, {list_elements} list elements")
-        });
+        self.trace_event(arrival, node, TraceKind::Handle { list_elements });
         self.proto_work(node, arrival, cost, Activity::Handler)
     }
 
@@ -624,7 +639,7 @@ mod tests {
             },
             9,
         ));
-        assert!(armed.faults_enabled());
+        assert!(armed.rel.is_some(), "reliable-delivery sublayer armed");
         assert_eq!(
             plain.send_from_app(0, 0, 1, 64),
             armed.send_from_app(0, 0, 1, 64)

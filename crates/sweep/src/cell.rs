@@ -399,7 +399,8 @@ fn homes_label(h: HomePolicy) -> &'static str {
     }
 }
 
-fn homes_from_label(s: &str) -> Result<HomePolicy, String> {
+/// Parses a home-policy label (as accepted by `run --homes`).
+pub fn homes_from_label(s: &str) -> Result<HomePolicy, String> {
     match s {
         "rr" => Ok(HomePolicy::RoundRobin),
         "first-touch" => Ok(HomePolicy::FirstTouch),

@@ -55,7 +55,7 @@ pub mod shard;
 pub mod store;
 
 pub use builder::{Mode, Sweep};
-pub use cell::{scale_from_label, scale_label, Cell, CommSpec};
+pub use cell::{homes_from_label, scale_from_label, scale_label, Cell, CommSpec};
 pub use cli::SweepCli;
 pub use exec::{execute_with, CellOutcome, CellStatus, SweepOpts, SweepRun};
 pub use json::Json;

@@ -53,7 +53,7 @@ fn sweep_workers_exit_after_the_run() {
             Cell::new(
                 app,
                 p,
-                LayerConfig::from_label("AO").expect("AO preset"),
+                LayerConfig::parse("AO").expect("AO preset"),
                 PROCS,
                 Scale::Test,
             )

@@ -4,7 +4,7 @@
 
 use ssm::apps::catalog::{suite, Scale};
 use ssm::core::{sequential_baseline, CommPreset, LayerConfig, ProtoPreset, Protocol, SimBuilder};
-use ssm::proto::HomePolicy;
+use ssm::proto::{HomePolicy, TraceEvent, TraceKind};
 use ssm::stats::Bucket;
 
 /// Every application in the catalog runs and self-verifies under every
@@ -336,13 +336,20 @@ fn tracing_captures_protocol_events() {
     let traced = SimBuilder::new(Protocol::Hlrc).procs(4).trace(true).run(&w);
     assert!(!traced.trace.is_empty());
     // Every send has a matching wire direction and times are sane.
-    assert!(traced.trace.iter().any(|e| e.label == "send"));
-    assert!(traced.trace.iter().any(|e| e.label == "handle"));
+    let is_send = |e: &TraceEvent| matches!(e.kind, TraceKind::Send { .. });
+    assert!(traced.trace.iter().any(is_send));
+    assert!(traced
+        .trace
+        .iter()
+        .any(|e| matches!(e.kind, TraceKind::Handle { .. })));
     for e in &traced.trace {
         assert!(e.node < 4);
         assert!(e.time <= traced.total_cycles);
+        if let TraceKind::Send { dst, .. } = e.kind {
+            assert!(dst < 4);
+        }
     }
     // Sends recorded equal messages counted.
-    let sends = traced.trace.iter().filter(|e| e.label == "send").count() as u64;
+    let sends = traced.trace.iter().filter(|e| is_send(e)).count() as u64;
     assert_eq!(sends, traced.counters.messages);
 }
